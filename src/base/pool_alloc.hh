@@ -2,19 +2,18 @@
  * @file
  * Size-classed slab pool and a std::allocator adapter over it.
  *
- * The tick loop creates and destroys one heap object per dynamic
- * instruction (the shared DynInstr control-block node) and one hash node
- * per outstanding cache miss. Both are fixed-size records with enormous
- * churn and a small live population — the textbook free-list case. The
- * SlabPool carves blocks out of multi-block slabs and recycles freed
- * blocks through intrusive LIFO free lists (one per size class), so after
- * a short warm-up the global allocator is never entered again.
+ * The tick loop creates and destroys one record per dynamic instruction
+ * (isa/instr_pool.hh) and one hash node per outstanding cache miss. Both
+ * are fixed-size records with enormous churn and a small live population
+ * — the textbook free-list case. The SlabPool carves blocks out of
+ * multi-block slabs and recycles freed blocks through intrusive LIFO free
+ * lists (one per size class), so after a short warm-up the global
+ * allocator is never entered again.
  *
- * Lifetime: PoolAlloc holds the pool by shared_ptr and std::allocate_shared
- * stores a copy of the allocator inside every control block it creates, so
- * the slabs outlive every object allocated from them even if the owning
- * component (e.g. the SmtCore) is destroyed first — a recorded commit
- * trace can legitimately keep instructions alive past the core.
+ * Lifetime: PoolAlloc holds the pool by shared_ptr, so a container's
+ * nodes and the slabs behind them die together no matter which member is
+ * destroyed first. The InstrPool owns its SlabPool outright instead: no
+ * instruction may outlive it (its destructor checks).
  *
  * Not thread-safe by design: each pool belongs to one simulator, and
  * simulators never share mutable state (sim/campaign.hh).

@@ -4,6 +4,11 @@
  * conservative memory disambiguation (a load may issue only once every
  * older store of its thread has executed its address/data) and
  * store-to-load forwarding.
+ *
+ * The queue caches its oldest unissued store, updated on the three events
+ * that can change it (a store is pushed, issues, or is squashed), so the
+ * disambiguation test the issue stage asks every cycle is one compare
+ * instead of a walk over the queue.
  */
 
 #ifndef SMTAVF_CORE_LSQ_HH
@@ -36,20 +41,22 @@ class Lsq
     void squashAfter(SeqNum seq);
 
     /**
-     * Disambiguation test: true when every store older than @p load has
-     * issued (addresses and data known). Inline: probed once per pending
-     * load per cycle by the issue stage.
+     * Issue a store: set its issued flag and advance the cached oldest
+     * unissued store past it. Stores issue only through here, so the
+     * cache never goes stale.
+     */
+    void markIssued(DynInstr &store);
+
+    /**
+     * Disambiguation test: true when every store older than the load
+     * with per-thread order @p load_seq has issued (addresses and data
+     * known). O(1): it compares against the cached oldest unissued
+     * store, so a blocked load costs the issue stage one compare.
      */
     bool
-    loadMayIssue(const InstPtr &load) const
+    loadMayIssue(SeqNum load_seq) const
     {
-        for (const auto &e : entries_) {
-            if (e->seq >= load->seq)
-                break;
-            if (e->op == OpClass::Store && !e->issued)
-                return false;
-        }
-        return true;
+        return oldestUnissuedStore_ >= load_seq;
     }
 
     /**
@@ -57,24 +64,46 @@ class Lsq
      * load's bytes can supply the data directly (no cache access needed).
      */
     bool
-    canForward(const InstPtr &load) const
+    canForward(const DynInstr &load) const
     {
         bool forward = false;
         for (const auto &e : entries_) {
-            if (e->seq >= load->seq)
+            if (e->seq >= load.seq)
                 break;
-            if (e->op == OpClass::Store && e->issued && overlaps(*e, *load))
+            if (e->op == OpClass::Store && e->issued && overlaps(*e, load))
                 forward = true; // youngest older overlapping store wins
         }
         return forward;
     }
+
+    /**
+     * Seq of the oldest store not yet issued; noStore when none is
+     * pending (invariant checker).
+     */
+    SeqNum oldestUnissuedStore() const { return oldestUnissuedStore_; }
+
+    /** The oldestUnissuedStore() value recomputed by a scan. */
+    SeqNum scanOldestUnissuedStore() const;
+
+    static constexpr SeqNum noStore = ~SeqNum{0};
+
+    /**
+     * Fault injection for the invariant-checker tests ONLY: overwrite the
+     * cached oldest unissued store. Never call outside tests.
+     */
+    void debugCorruptOldestStore(SeqNum seq) { oldestUnissuedStore_ = seq; }
 
     /** Iterate oldest to youngest (invariant checker, diagnostics). */
     auto begin() const { return entries_.begin(); }
     auto end() const { return entries_.end(); }
 
     /** Worker-reuse hook: empty the ring, capacity retained. */
-    void reset() { entries_.reset(); }
+    void
+    reset()
+    {
+        entries_.reset();
+        oldestUnissuedStore_ = noStore;
+    }
 
   private:
     static bool
@@ -88,6 +117,7 @@ class Lsq
     std::uint32_t capacity_;
     /** Ring sized to capacity up front: no allocation after construction. */
     RingBuffer<InstPtr> entries_;
+    SeqNum oldestUnissuedStore_ = noStore;
 };
 
 } // namespace smtavf

@@ -61,9 +61,8 @@ class PhysRegFile
     void markWritten(RegIndex phys, Cycle now);
 
     /**
-     * True once the value has been written (wakeup test). Inline: the
-     * issue stage probes every IQ entry's sources every cycle, making
-     * this the single hottest call in the simulator.
+     * True once the value has been written. Dispatch asks it once per
+     * source to decide whether the new IQ entry waits (core/iq.hh).
      */
     bool
     isReady(RegIndex phys) const

@@ -21,7 +21,7 @@ SmtCore::SmtCore(const MachineConfig &cfg,
       analyzer_(cfg.contexts, ledger, cfg.avf.deadCodeAnalysis),
       regfile_(cfg.intPhysRegs, cfg.fpPhysRegs, ledger,
                cfg.avf.regAllocWindowUnace, cfg.avf.deadCodeAnalysis),
-      iq_(cfg.iqSize), fuPool_(cfg.fu)
+      iq_(cfg.iqSize, cfg.intPhysRegs + cfg.fpPhysRegs), fuPool_(cfg.fu)
 {
     cfg_.validate();
     if (streams.size() != cfg_.contexts)
@@ -115,7 +115,6 @@ SmtCore::reset(const MachineConfig &cfg)
     overflow_.clear();
     pendingNotices_.clear();
     noticesScratch_.clear();
-    issueScratch_.clear();
 
     wrongPathFetched_ = 0;
     squashedInstrs_ = 0;
@@ -310,8 +309,10 @@ SmtCore::complete(const InstPtr &in)
     in->completeCycle = now_;
     auto &th = *threads_.at(in->tid);
 
-    if (in->destPhys != invalidReg)
+    if (in->destPhys != invalidReg) {
         regfile_.markWritten(in->destPhys, now_);
+        iq_.wakeup(in->destPhys);
+    }
 
     if (in->op == OpClass::Load) {
         if (in->dl1Miss) {
@@ -378,58 +379,47 @@ SmtCore::commitStage()
 }
 
 bool
-SmtCore::tryIssue(const InstPtr &in, unsigned &mem_ports_used)
+SmtCore::tryIssue(DynInstr &in, unsigned &mem_ports_used)
 {
-    // Stores issue (generate their address) once the address operand is
-    // ready; the data operand only has to arrive by commit, which in-order
-    // commit of the older producer guarantees.
-    if (!regfile_.isReady(in->srcPhys1))
-        return false;
-    if (in->op != OpClass::Store && !regfile_.isReady(in->srcPhys2))
-        return false;
+    auto &th = *threads_[in.tid];
+    bool forwarded = in.op == OpClass::Load && th.lsq.canForward(in);
 
-    auto &th = *threads_[in->tid];
-    bool forwarded = false;
-    if (in->op == OpClass::Load) {
-        if (mem_ports_used >= cfg_.mem.dl1.ports)
-            return false;
-        if (!th.lsq.loadMayIssue(in))
-            return false;
-        forwarded = th.lsq.canForward(in);
-    }
-
-    FuType type = fuTypeFor(in->op);
-    if (!fuPool_.acquire(type, now_, fuOccupancy(in->op)))
+    FuType type = fuTypeFor(in.op);
+    if (!fuPool_.acquire(type, now_, fuOccupancy(in.op)))
         return false;
 
-    in->issued = true;
-    in->issueCycle = now_;
+    if (in.op == OpClass::Store)
+        th.lsq.markIssued(in);
+    else
+        in.issued = true;
+    in.issueCycle = now_;
     ++th.issuedCount;
-    in->pending.push_back({HwStruct::IQ, bits::iqEntry, in->dispatchCycle,
-                           now_});
+    in.pending.push_back({HwStruct::IQ, bits::iqEntry, in.dispatchCycle,
+                          now_});
 
-    std::uint32_t lat = execLatency(in->op);
+    std::uint32_t lat = execLatency(in.op);
     Cycle done;
-    if (in->op == OpClass::Load) {
+    if (in.op == OpClass::Load) {
         ++mem_ports_used;
         if (forwarded) {
             done = now_ + 1;
-            pendingNotices_.push_back({in, false, false});
+            pendingNotices_.push_back({InstPtr(&in), false, false});
         } else {
-            MemOutcome out = hier_.load(in->tid, in->memAddr, in->memSize,
+            MemOutcome out = hier_.load(in.tid, in.memAddr, in.memSize,
                                         now_);
-            in->dl1Miss = out.l1Miss;
-            in->l2Miss = out.l2Miss;
+            in.dl1Miss = out.l1Miss;
+            in.l2Miss = out.l2Miss;
             done = out.ready;
             if (out.l1Miss) {
                 ++th.outL1D;
                 if (out.l2Miss)
                     ++th.outL2D;
             }
-            pendingNotices_.push_back({in, out.l1Miss, out.l2Miss});
+            pendingNotices_.push_back({InstPtr(&in), out.l1Miss,
+                                       out.l2Miss});
         }
-    } else if (in->op == OpClass::Store) {
-        std::uint32_t penalty = hier_.translateData(in->tid, in->memAddr,
+    } else if (in.op == OpClass::Store) {
+        std::uint32_t penalty = hier_.translateData(in.tid, in.memAddr,
                                                     now_);
         done = now_ + lat + penalty;
     } else {
@@ -437,46 +427,41 @@ SmtCore::tryIssue(const InstPtr &in, unsigned &mem_ports_used)
     }
 
     if (type != FuType::None) {
-        Cycle fu_end = in->isMem() ? now_ + 1 : now_ + lat;
-        in->pending.push_back({HwStruct::FU, bits::fuLatch, now_, fu_end});
+        Cycle fu_end = in.isMem() ? now_ + 1 : now_ + lat;
+        in.pending.push_back({HwStruct::FU, bits::fuLatch, now_, fu_end});
     }
 
-    scheduleCompletion(in, done);
+    scheduleCompletion(InstPtr(&in), done);
     return true;
 }
 
 void
 SmtCore::issueStage()
 {
+    // Only operand-ready entries are visited, oldest first; the others
+    // cannot issue this cycle. Entries dispatched this cycle are not
+    // among them, because dispatch runs after issue within a tick.
     unsigned issued = 0;
     unsigned mem_ports_used = 0;
-    issueScratch_.clear();
-    for (const auto &in : iq_) {
+    using Pick = IssueQueue::Pick;
+    iq_.select([&](const IssueQueue::ReadyEntry &e) {
         if (issued >= cfg_.issueWidth)
-            break;
-        if (in->dispatchCycle >= now_)
-            continue; // dispatched this very cycle
-        // Wakeup prefilter, duplicating tryIssue's first tests: most
-        // entries wait on operands most cycles, and skipping them here
-        // keeps the common case free of the full issue-test call.
-        if (!regfile_.isReady(in->srcPhys1))
-            continue;
-        if (in->op != OpClass::Store && !regfile_.isReady(in->srcPhys2))
-            continue;
-        if (tryIssue(in, mem_ports_used)) {
-            issueScratch_.push_back(in);
-            ++issued;
-        }
-    }
-    for (const auto &in : issueScratch_) {
-        auto &th = *threads_[in->tid];
+            return Pick::Stop;
+        // A load without a DL1 port, or behind an older unissued store,
+        // is skipped on the ready entry alone.
+        if (e.op == OpClass::Load &&
+            (mem_ports_used >= cfg_.mem.dl1.ports ||
+             !threads_[e.tid]->lsq.loadMayIssue(e.seq)))
+            return Pick::Skip;
+        if (!tryIssue(*e.in, mem_ports_used))
+            return Pick::Skip;
+        auto &th = *threads_[e.tid];
         --th.iqCount;
-        if (in->wrongPath)
+        if (e.in->wrongPath)
             --th.wrongPathFrontIq;
-    }
-    if (!issueScratch_.empty())
-        iq_.removeIssued();
-    issueScratch_.clear();
+        ++issued;
+        return Pick::Issue;
+    });
 
     // Deliver policy notifications now that the IQ scan is over (FLUSH may
     // squash, which mutates the IQ). Swapped into the scratch buffer so
@@ -527,7 +512,8 @@ SmtCore::dispatchStage()
             in->globalSeq = ++globalDispatchSeq_;
             in->dispatchCycle = now_;
             th.rob.push(in);
-            iq_.insert(in);
+            iq_.insert(in, regfile_.isReady(in->srcPhys1),
+                       regfile_.isReady(in->srcPhys2));
             ++th.iqCount;
             if (in->isMem())
                 th.lsq.push(in);

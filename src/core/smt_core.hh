@@ -224,13 +224,18 @@ class SmtCore : public PolicyContext
     const PhysRegFile &regfileRef() const { return regfile_; }
 
     /** The shared issue queue. */
+    IssueQueue &issueQueue() { return iq_; }
     const IssueQueue &issueQueue() const { return iq_; }
 
     /** One thread's reorder buffer. */
     const Rob &rob(ThreadId tid) const { return threads_.at(tid)->rob; }
 
     /** One thread's load/store queue. */
+    Lsq &lsq(ThreadId tid) { return threads_.at(tid)->lsq; }
     const Lsq &lsq(ThreadId tid) const { return threads_.at(tid)->lsq; }
+
+    /** The memory hierarchy (MSHR bookkeeping). */
+    const MemHierarchy &hierarchy() const { return hier_; }
 
     /** One thread's rename table. */
     const RenameMap &
@@ -247,9 +252,6 @@ class SmtCore : public PolicyContext
 
     /** Append committing instructions to @p trace (nullptr disables). */
     void recordCommits(CommitTrace *trace) { commitTrace_ = trace; }
-
-    /** The DynInstr recycling pool (allocation-accounting tests). */
-    const InstrPool &instrPool() const { return instrPool_; }
 
     // ---- PolicyContext -------------------------------------------------
     unsigned numThreads() const override;
@@ -308,8 +310,12 @@ class SmtCore : public PolicyContext
     void fetchStage();
     unsigned fetchThread(ThreadId tid, unsigned budget);
 
-    /** Try to issue one IQ entry; true on success. */
-    bool tryIssue(const InstPtr &in, unsigned &mem_ports_used);
+    /**
+     * Try to issue one ready IQ entry; true on success. The caller has
+     * already checked its operands, and for a load the DL1 port budget
+     * and the LSQ's disambiguation test.
+     */
+    bool tryIssue(DynInstr &in, unsigned &mem_ports_used);
 
     /** Complete one instruction at the current cycle. */
     void complete(const InstPtr &in);
@@ -326,13 +332,17 @@ class SmtCore : public PolicyContext
 
     void scheduleCompletion(const InstPtr &in, Cycle when);
 
+    /**
+     * Recycles DynInstr storage across fetches (see isa/instr_pool.hh).
+     * Declared ahead of every instruction owner (analyzer, queues,
+     * completion wheel, notices), so it is destroyed after all of them.
+     */
+    InstrPool instrPool_;
+
     MachineConfig cfg_;
     MemHierarchy &hier_;
     AvfLedger &ledger_;
     DeadCodeAnalyzer analyzer_;
-
-    /** Recycles DynInstr storage across fetches (see isa/instr_pool.hh). */
-    InstrPool instrPool_;
 
     PhysRegFile regfile_;
     IssueQueue iq_;
@@ -350,9 +360,9 @@ class SmtCore : public PolicyContext
      * DynInstr::completionNext: append is O(1) via the tail pointer and
      * the chain borrows the instructions' own storage, so scheduling
      * allocates nothing no matter how many events pile onto one cycle.
-     * The chain's shared_ptr links keep every scheduled instruction
-     * alive until its bucket drains, exactly as the former per-bucket
-     * vector did.
+     * The chain's owning links keep every scheduled instruction alive
+     * until its bucket drains, exactly as the former per-bucket vector
+     * did.
      */
     struct CompletionList
     {
@@ -398,8 +408,6 @@ class SmtCore : public PolicyContext
     std::vector<LoadNotice> pendingNotices_;
     /** Double buffer for pendingNotices_ delivery (reused every tick). */
     std::vector<LoadNotice> noticesScratch_;
-    /** Issued-this-cycle scratch for issueStage (reused every tick). */
-    std::vector<InstPtr> issueScratch_;
 
     std::uint64_t wrongPathFetched_ = 0;
     std::uint64_t squashedInstrs_ = 0;

@@ -1,5 +1,7 @@
 #include "isa/instr.hh"
 
+#include "isa/instr_pool.hh"
+
 namespace smtavf
 {
 
@@ -75,6 +77,12 @@ hwStructName(HwStruct s)
       case HwStruct::L2Tag: return "L2_tag";
       default: return "?";
     }
+}
+
+void
+releaseInstr(DynInstr *in) noexcept
+{
+    in->ref.pool->destroy(in);
 }
 
 } // namespace smtavf

@@ -11,8 +11,9 @@
 #ifndef SMTAVF_ISA_INSTR_HH
 #define SMTAVF_ISA_INSTR_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 
 #include "avf/structures.hh"
 #include "base/small_vec.hh"
@@ -93,6 +94,81 @@ struct PendingInterval
     Cycle end;
 };
 
+struct DynInstr;
+class InstrPool;
+
+/**
+ * Owning handle to an in-flight dynamic instruction: an intrusive,
+ * non-atomic reference count kept in the DynInstr itself
+ * (DynInstr::ref), with storage from the owning core's InstrPool. The
+ * last handle to drop returns the record to its pool.
+ *
+ * The owners are the ROB, the LSQ, the front queue, the dead-code
+ * analyzer, the completion wheel and a run's CommitTrace. Structures
+ * that only ever see instructions one of those owners holds (the issue
+ * queue's slot table, ready list and wait lists) keep raw DynInstr
+ * pointers instead. The count is not atomic: a simulator, and every
+ * instruction in it, is used by one thread at a time.
+ */
+class InstPtr
+{
+  public:
+    InstPtr() noexcept = default;
+    InstPtr(std::nullptr_t) noexcept {}
+
+    /** Take a new reference to @p in (null allowed). */
+    explicit InstPtr(DynInstr *in) noexcept;
+
+    InstPtr(const InstPtr &o) noexcept : InstPtr(o.p_) {}
+    InstPtr(InstPtr &&o) noexcept : p_(std::exchange(o.p_, nullptr)) {}
+
+    InstPtr &
+    operator=(InstPtr o) noexcept
+    {
+        std::swap(p_, o.p_);
+        return *this;
+    }
+
+    ~InstPtr();
+
+    DynInstr *get() const noexcept { return p_; }
+    DynInstr *operator->() const noexcept { return p_; }
+    DynInstr &operator*() const noexcept { return *p_; }
+    explicit operator bool() const noexcept { return p_ != nullptr; }
+
+    friend bool
+    operator==(const InstPtr &a, const InstPtr &b) noexcept
+    {
+        return a.p_ == b.p_;
+    }
+    friend bool
+    operator==(const InstPtr &a, std::nullptr_t) noexcept
+    {
+        return a.p_ == nullptr;
+    }
+
+  private:
+    DynInstr *p_ = nullptr;
+};
+
+/**
+ * Intrusive reference-count header of a DynInstr. Copying an instruction
+ * record (e.g. from the generator's template) never copies ownership:
+ * the copy starts unowned and poolless, and InstrPool::create fills both.
+ */
+struct InstrRef
+{
+    std::uint32_t count = 0;
+    InstrPool *pool = nullptr;
+
+    InstrRef() = default;
+    InstrRef(const InstrRef &) noexcept {}
+    InstrRef &operator=(const InstrRef &) noexcept { return *this; }
+};
+
+/** Return a DynInstr whose last handle dropped to its pool (instr.cc). */
+void releaseInstr(DynInstr *in) noexcept;
+
 /**
  * A dynamic instruction. Plain aggregate by design: it is the working
  * record of the whole pipeline and every stage annotates it in place.
@@ -141,6 +217,8 @@ struct DynInstr
 
     // --- pipeline state -----------------------------------------------------
     bool inIq = false;
+    /** Issue-queue slot while inIq (core/iq.hh). */
+    std::uint16_t iqSlot = 0;
     bool issued = false;
     bool completed = false;
     Cycle fetchCycle = 0;
@@ -167,7 +245,10 @@ struct DynInstr
      * scheduling core; always null outside a scheduled window (the wheel
      * clears it as it drains).
      */
-    std::shared_ptr<DynInstr> completionNext;
+    InstPtr completionNext;
+
+    /** Handle bookkeeping (see InstPtr); never copied. */
+    InstrRef ref;
 
     /** True for instructions that write a non-zero architectural register. */
     bool
@@ -190,8 +271,17 @@ struct DynInstr
     }
 };
 
-/** Shared handle to an in-flight dynamic instruction. */
-using InstPtr = std::shared_ptr<DynInstr>;
+inline InstPtr::InstPtr(DynInstr *in) noexcept : p_(in)
+{
+    if (p_)
+        ++p_->ref.count;
+}
+
+inline InstPtr::~InstPtr()
+{
+    if (p_ && --p_->ref.count == 0)
+        releaseInstr(p_);
+}
 
 } // namespace smtavf
 

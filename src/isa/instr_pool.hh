@@ -3,26 +3,29 @@
  * InstrPool: recycling allocator for in-flight dynamic instructions.
  *
  * Every dynamic instruction used to cost one global-heap round trip
- * (std::make_shared at fetch, free at last release). The pool routes the
- * combined object+control-block node through a per-core SlabPool instead,
- * so a committed or squashed instruction's slot is reused by a later fetch
- * without touching the global allocator.
+ * (std::make_shared at fetch, free at last release). The pool carves
+ * DynInstr records from a per-core SlabPool instead, so a committed or
+ * squashed instruction's slot is reused by a later fetch without
+ * touching the global allocator. There is no separate control block:
+ * the reference count lives in the record (DynInstr::ref, see InstPtr).
  *
  * Correctness notes:
  *  - create() copy-constructs the full DynInstr from the generator's
  *    template record, so every field of a recycled slot is overwritten —
  *    no state can leak from the previous occupant.
- *  - std::allocate_shared stores a copy of the PoolAlloc (and with it a
- *    shared_ptr to the SlabPool) in each control block, so instructions
- *    that outlive the core — e.g. those retained by a CommitTrace — keep
- *    the backing slabs alive until the last InstPtr drops.
+ *  - Every handle must drop before its pool dies. The core declares its
+ *    pool ahead of every owner, so its own queues release first; a run's
+ *    CommitTrace copies its records out at finalize() and holds no
+ *    handles past the run. A handle that still outlived its pool would
+ *    be a use-after-free, so the destructor aborts instead.
  */
 
 #ifndef SMTAVF_ISA_INSTR_POOL_HH
 #define SMTAVF_ISA_INSTR_POOL_HH
 
-#include <memory>
-#include <utility>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
 
 #include "base/pool_alloc.hh"
 #include "isa/instr.hh"
@@ -34,21 +37,40 @@ namespace smtavf
 class InstrPool
 {
   public:
-    InstrPool() : pool_(std::make_shared<SlabPool>()) {}
+    InstrPool() = default;
+    InstrPool(const InstrPool &) = delete;
+    InstrPool &operator=(const InstrPool &) = delete;
+
+    ~InstrPool()
+    {
+        if (slabs_.liveBlocks() != 0) {
+            std::fprintf(stderr,
+                         "InstrPool destroyed with %zu live instructions\n",
+                         slabs_.liveBlocks());
+            std::abort();
+        }
+    }
 
     /** Materialise a pooled copy of @p proto. */
     InstPtr
     create(const DynInstr &proto)
     {
-        return std::allocate_shared<DynInstr>(PoolAlloc<DynInstr>(pool_),
-                                              proto);
+        void *mem = slabs_.allocate(sizeof(DynInstr), alignof(DynInstr));
+        auto *in = new (mem) DynInstr(proto);
+        in->ref.pool = this;
+        return InstPtr(in);
     }
 
-    /** Backing pool, exposed for allocation-accounting tests. */
-    const std::shared_ptr<SlabPool> &slabPool() const { return pool_; }
+    /** Destroy a record whose last handle dropped (releaseInstr). */
+    void
+    destroy(DynInstr *in) noexcept
+    {
+        in->~DynInstr();
+        slabs_.deallocate(in, sizeof(DynInstr), alignof(DynInstr));
+    }
 
   private:
-    std::shared_ptr<SlabPool> pool_;
+    SlabPool slabs_;
 };
 
 } // namespace smtavf

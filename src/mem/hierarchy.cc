@@ -11,9 +11,7 @@ MemHierarchy::MemHierarchy(const MemConfig &cfg)
     : cfg_(cfg), il1_(cfg.il1), dl1_(cfg.dl1), l2_(cfg.l2),
       itlb_(cfg.itlb), dtlb_(cfg.dtlb),
       mshrPool_(std::make_shared<SlabPool>()),
-      il1Mshrs_(PoolAlloc<std::pair<const Addr, Mshr>>(mshrPool_)),
-      dl1Mshrs_(PoolAlloc<std::pair<const Addr, Mshr>>(mshrPool_)),
-      l2Mshrs_(PoolAlloc<std::pair<const Addr, Mshr>>(mshrPool_))
+      il1Mshrs_(mshrPool_), dl1Mshrs_(mshrPool_), l2Mshrs_(mshrPool_)
 {
     // NOTE: do not reserve() these maps. drainMshrs replays fills in map
     // iteration order, which depends on the bucket count — changing it
@@ -30,10 +28,30 @@ MemHierarchy::reset()
     l2_.reset();
     itlb_.reset();
     dtlb_.reset();
-    PoolAlloc<std::pair<const Addr, Mshr>> alloc(mshrPool_);
-    il1Mshrs_ = MshrMap(alloc);
-    dl1Mshrs_ = MshrMap(alloc);
-    l2Mshrs_ = MshrMap(alloc);
+    il1Mshrs_ = MshrTable(mshrPool_);
+    dl1Mshrs_ = MshrTable(mshrPool_);
+    l2Mshrs_ = MshrTable(mshrPool_);
+}
+
+std::array<MemHierarchy::MshrDue, 3>
+MemHierarchy::mshrDue() const
+{
+    auto earliest = [](const MshrTable &t) {
+        Cycle e = noneDue;
+        for (const auto &kv : t.map)
+            e = std::min(e, kv.second.ready);
+        return e;
+    };
+    return {{{"l2", l2Mshrs_.due, earliest(l2Mshrs_)},
+             {"il1", il1Mshrs_.due, earliest(il1Mshrs_)},
+             {"dl1", dl1Mshrs_.due, earliest(dl1Mshrs_)}}};
+}
+
+void
+MemHierarchy::debugCorruptMshrDue(std::size_t table, Cycle due)
+{
+    MshrTable *tables[] = {&l2Mshrs_, &il1Mshrs_, &dl1Mshrs_};
+    tables[table]->due = due;
 }
 
 Cycle
@@ -46,18 +64,19 @@ MemHierarchy::accessL2(ThreadId tid, Addr addr, Cycle now, bool &l2_miss)
 
     l2_miss = true;
     Addr l2_line = l2_.lineAddr(addr);
-    auto it = l2Mshrs_.find(l2_line);
-    if (it != l2Mshrs_.end())
+    auto it = l2Mshrs_.map.find(l2_line);
+    if (it != l2Mshrs_.map.end())
         return it->second.ready;
 
     Cycle ready = now + cfg_.memLatency;
-    l2Mshrs_.emplace(l2_line, Mshr{ready, true, tid, {}});
+    l2Mshrs_.add(l2_line, Mshr{ready, true, tid, {}});
     return ready;
 }
 
 MemOutcome
-MemHierarchy::accessL1(Cache &l1, MshrMap &mshrs, ThreadId tid, Addr addr,
-                       std::uint32_t size, bool is_write, Cycle now)
+MemHierarchy::accessL1(Cache &l1, MshrTable &mshrs, ThreadId tid,
+                       Addr addr, std::uint32_t size, bool is_write,
+                       Cycle now)
 {
     MemOutcome out;
     if (l1.access(addr, size, is_write, tid, now)) {
@@ -67,8 +86,8 @@ MemHierarchy::accessL1(Cache &l1, MshrMap &mshrs, ThreadId tid, Addr addr,
 
     out.l1Miss = true;
     Addr line = l1.lineAddr(addr);
-    auto it = mshrs.find(line);
-    if (it != mshrs.end()) {
+    auto it = mshrs.map.find(line);
+    if (it != mshrs.map.end()) {
         // Merge into the outstanding miss.
         out.ready = it->second.ready;
         out.l2Miss = it->second.l2Miss;
@@ -85,7 +104,7 @@ MemHierarchy::accessL1(Cache &l1, MshrMap &mshrs, ThreadId tid, Addr addr,
     mshr.l2Miss = l2_miss;
     mshr.tid = tid;
     mshr.ops.push_back({is_write, addr, size, tid});
-    mshrs.emplace(line, std::move(mshr));
+    mshrs.add(line, std::move(mshr));
     return out;
 }
 
@@ -127,9 +146,12 @@ MemHierarchy::fetch(ThreadId tid, Addr pc, Cycle now)
 }
 
 void
-MemHierarchy::drainMshrs(Cache &l1, MshrMap &mshrs, Cycle now, bool force)
+MemHierarchy::drainMshrs(Cache &l1, MshrTable &mshrs, Cycle now, bool force)
 {
-    for (auto it = mshrs.begin(); it != mshrs.end();) {
+    if (!force && now < mshrs.due)
+        return;
+    Cycle due = noneDue;
+    for (auto it = mshrs.map.begin(); it != mshrs.map.end();) {
         if (force || it->second.ready <= now) {
             Cycle land = std::min(it->second.ready, now);
             l1.fill(it->first, it->second.tid, land);
@@ -137,11 +159,13 @@ MemHierarchy::drainMshrs(Cache &l1, MshrMap &mshrs, Cycle now, bool force)
                 bool hit [[maybe_unused]] =
                     l1.access(op.addr, op.size, op.isWrite, op.tid, land);
             }
-            it = mshrs.erase(it);
+            it = mshrs.map.erase(it);
         } else {
+            due = std::min(due, it->second.ready);
             ++it;
         }
     }
+    mshrs.due = due;
 }
 
 void
@@ -150,13 +174,18 @@ MemHierarchy::tick(Cycle now)
     // L2 fills must land before L1 fills that depend on them; both maps are
     // drained by ready time, and L1 ready times are never earlier than the
     // corresponding L2 fill, so draining L2 first suffices.
-    for (auto it = l2Mshrs_.begin(); it != l2Mshrs_.end();) {
-        if (it->second.ready <= now) {
-            l2_.fill(it->first, it->second.tid, it->second.ready);
-            it = l2Mshrs_.erase(it);
-        } else {
-            ++it;
+    if (now >= l2Mshrs_.due) {
+        Cycle due = noneDue;
+        for (auto it = l2Mshrs_.map.begin(); it != l2Mshrs_.map.end();) {
+            if (it->second.ready <= now) {
+                l2_.fill(it->first, it->second.tid, it->second.ready);
+                it = l2Mshrs_.map.erase(it);
+            } else {
+                due = std::min(due, it->second.ready);
+                ++it;
+            }
         }
+        l2Mshrs_.due = due;
     }
     drainMshrs(il1_, il1Mshrs_, now, false);
     drainMshrs(dl1_, dl1Mshrs_, now, false);
@@ -165,9 +194,10 @@ MemHierarchy::tick(Cycle now)
 void
 MemHierarchy::finalize(Cycle now)
 {
-    for (auto &kv : l2Mshrs_)
+    for (auto &kv : l2Mshrs_.map)
         l2_.fill(kv.first, kv.second.tid, now);
-    l2Mshrs_.clear();
+    l2Mshrs_.map.clear();
+    l2Mshrs_.due = noneDue;
     drainMshrs(il1_, il1Mshrs_, now, true);
     drainMshrs(dl1_, dl1Mshrs_, now, true);
     dl1_.flushAll(now);

@@ -11,6 +11,7 @@
 #ifndef SMTAVF_MEM_HIERARCHY_HH
 #define SMTAVF_MEM_HIERARCHY_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -96,14 +97,40 @@ class MemHierarchy
     const MemConfig &config() const { return cfg_; }
 
     /** Outstanding DL1 miss count (used by fetch policies). */
-    std::size_t outstandingDl1Misses() const { return dl1Mshrs_.size(); }
+    std::size_t
+    outstandingDl1Misses() const
+    {
+        return dl1Mshrs_.map.size();
+    }
 
     /** All outstanding misses, every level (checkpoint drain detection). */
     std::size_t
     outstandingMisses() const
     {
-        return il1Mshrs_.size() + dl1Mshrs_.size() + l2Mshrs_.size();
+        return il1Mshrs_.map.size() + dl1Mshrs_.map.size() +
+               l2Mshrs_.map.size();
     }
+
+    /** One MSHR table's due cycle beside a fresh scan of its entries. */
+    struct MshrDue
+    {
+        const char *table;
+        Cycle due;           ///< tick() skips the table before this cycle
+        Cycle earliestReady; ///< min ready over entries; noneDue if empty
+    };
+
+    /** Due cycle and earliest entry of the L2, IL1 and DL1 tables
+     *  (invariant checker: due must never be later than earliest). */
+    std::array<MshrDue, 3> mshrDue() const;
+
+    static constexpr Cycle noneDue = ~Cycle{0};
+
+    /**
+     * Fault injection for the invariant-checker tests ONLY: overwrite the
+     * due cycle of table @p table (0 = L2, 1 = IL1, 2 = DL1). Never call
+     * outside tests.
+     */
+    void debugCorruptMshrDue(std::size_t table, Cycle due);
 
     /**
      * Checkpoint hook: caches and TLBs only. The simulator checkpoints
@@ -148,7 +175,7 @@ class MemHierarchy
     };
 
     /**
-     * MSHR table with pooled hash nodes: every miss used to allocate (and
+     * MSHR map with pooled hash nodes: every miss used to allocate (and
      * every fill free) one map node on the global heap; the SlabPool
      * recycles them instead. In libstdc++ the iteration order of an
      * unordered_map depends only on hashes and insertion sequence — never
@@ -160,16 +187,43 @@ class MemHierarchy
                            PoolAlloc<std::pair<const Addr, Mshr>>>;
 
     /**
+     * One level's MSHRs plus the earliest cycle any of them can be ready:
+     * lowered when a miss allocates, recomputed by the scan that drains
+     * the map. tick() skips the map before that cycle, which is exact —
+     * a scan before it would find nothing to land — and a due scan still
+     * walks the whole map in iteration order (see the reserve() note).
+     */
+    struct MshrTable
+    {
+        explicit MshrTable(const std::shared_ptr<SlabPool> &pool)
+            : map(PoolAlloc<std::pair<const Addr, Mshr>>(pool))
+        {
+        }
+
+        void
+        add(Addr line, Mshr mshr)
+        {
+            if (mshr.ready < due)
+                due = mshr.ready;
+            map.emplace(line, std::move(mshr));
+        }
+
+        MshrMap map;
+        Cycle due = noneDue;
+    };
+
+    /**
      * Common L1 access path: try @p l1; on miss, merge into or allocate an
      * MSHR whose fill time comes from the L2/DRAM path.
      */
-    MemOutcome accessL1(Cache &l1, MshrMap &mshrs, ThreadId tid, Addr addr,
-                        std::uint32_t size, bool is_write, Cycle now);
+    MemOutcome accessL1(Cache &l1, MshrTable &mshrs, ThreadId tid,
+                        Addr addr, std::uint32_t size, bool is_write,
+                        Cycle now);
 
     /** L2 lookup/allocation for an L1 miss; returns data-ready cycle. */
     Cycle accessL2(ThreadId tid, Addr addr, Cycle now, bool &l2_miss);
 
-    void drainMshrs(Cache &l1, MshrMap &mshrs, Cycle now, bool force);
+    void drainMshrs(Cache &l1, MshrTable &mshrs, Cycle now, bool force);
 
     MemConfig cfg_;
     Cache il1_;
@@ -181,9 +235,9 @@ class MemHierarchy
     /** Backing storage for the three MSHR maps' nodes (declared first). */
     std::shared_ptr<SlabPool> mshrPool_;
 
-    MshrMap il1Mshrs_;
-    MshrMap dl1Mshrs_;
-    MshrMap l2Mshrs_;
+    MshrTable il1Mshrs_;
+    MshrTable dl1Mshrs_;
+    MshrTable l2Mshrs_;
 };
 
 } // namespace smtavf

@@ -1,7 +1,9 @@
 #include "sim/invariants.hh"
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "avf/ledger.hh"
@@ -242,6 +244,79 @@ checkIq(const SmtCore &core, Cycle now)
         violated(core, now, "iq.occupancy",
                  detail::concat("per-thread occupancies sum to ", sum,
                                 " but the queue holds ", iq.size()));
+
+    // --- iq.ready: exactly the operand-ready entries, oldest first ------
+    const PhysRegFile &rf = core.regfileRef();
+    const auto &ready = iq.readyList();
+    for (std::size_t i = 0; i < ready.size(); ++i) {
+        const auto &e = ready[i];
+        if (i > 0 && e.globalSeq <= ready[i - 1].globalSeq)
+            violated(core, now, "iq.ready",
+                     detail::concat("ready list out of age order: ",
+                                    "globalSeq ", e.globalSeq, " after ",
+                                    ready[i - 1].globalSeq));
+        if (e.globalSeq != e.in->globalSeq || e.seq != e.in->seq ||
+            e.tid != e.in->tid || e.op != e.in->op)
+            violated(core, now, "iq.ready",
+                     detail::concat("ready entry globalSeq ", e.globalSeq,
+                                    " disagrees with its instruction (T",
+                                    e.in->tid, " seq ", e.in->seq, ")"));
+    }
+    // Wait-list membership each entry should have: one link per unwritten
+    // source it needs (stores need only the address; a doubled source
+    // waits once).
+    std::vector<std::pair<const DynInstr *, RegIndex>> expect;
+    std::size_t next_ready = 0;
+    for (const DynInstr *in : iq) {
+        bool r1 = rf.isReady(in->srcPhys1);
+        bool r2 = in->op == OpClass::Store || rf.isReady(in->srcPhys2);
+        bool listed = next_ready < ready.size() &&
+                      ready[next_ready].in == in;
+        if (listed)
+            ++next_ready;
+        if ((r1 && r2) != listed)
+            violated(core, now, "iq.ready",
+                     detail::concat("T", in->tid, " seq ", in->seq,
+                                    (listed ? " is" : " is not"),
+                                    " on the ready list with src1 ",
+                                    (r1 ? "written" : "unwritten"),
+                                    " and src2 ",
+                                    (r2 ? "written/unneeded" : "unwritten")));
+        if (!r1)
+            expect.emplace_back(in, in->srcPhys1);
+        if (!r2 && !(!r1 && in->srcPhys2 == in->srcPhys1))
+            expect.emplace_back(in, in->srcPhys2);
+    }
+    if (next_ready != ready.size())
+        violated(core, now, "iq.ready",
+                 detail::concat("ready list holds ",
+                                ready.size() - next_ready,
+                                " entries that are not in the queue"));
+
+    // --- iq.wakeup: every waiting entry is on each unwritten source's
+    // wait list exactly once, and nothing else is on any list -----------
+    std::vector<std::pair<const DynInstr *, RegIndex>> found;
+    for (std::uint32_t p = 0; p < iq.numPhysRegs(); ++p) {
+        auto phys = static_cast<RegIndex>(p);
+        iq.forEachWaiter(phys, [&](const DynInstr &w) {
+            found.emplace_back(&w, phys);
+        });
+    }
+    std::sort(expect.begin(), expect.end());
+    std::sort(found.begin(), found.end());
+    if (expect != found) {
+        auto [e, f] = std::mismatch(expect.begin(), expect.end(),
+                                    found.begin(), found.end());
+        bool missing = f == found.end() || (e != expect.end() && *e < *f);
+        const auto &bad = missing ? *e : *f;
+        violated(core, now, "iq.wakeup",
+                 detail::concat("T", bad.first->tid, " seq ",
+                                bad.first->seq,
+                                (missing ? " is missing from"
+                                         : " is wrongly or twice on"),
+                                " the wait list of physical ",
+                                bad.second));
+    }
 }
 
 void
@@ -271,6 +346,24 @@ checkLsq(const SmtCore &core, Cycle now)
             prev = in->seq;
             first = false;
         }
+        if (lsq.oldestUnissuedStore() != lsq.scanOldestUnissuedStore())
+            violated(core, now, "lsq.oldest_store",
+                     detail::concat("T", t, " LSQ caches oldest unissued ",
+                                    "store seq ", lsq.oldestUnissuedStore(),
+                                    " but a scan finds ",
+                                    lsq.scanOldestUnissuedStore()));
+    }
+}
+
+void
+checkMshrs(const SmtCore &core, Cycle now)
+{
+    for (const auto &d : core.hierarchy().mshrDue()) {
+        if (d.due > d.earliestReady)
+            violated(core, now, "mem.mshr_due",
+                     detail::concat(d.table, " MSHRs are due at cycle ",
+                                    d.due, " but an entry is ready at ",
+                                    d.earliestReady));
     }
 }
 
@@ -328,6 +421,7 @@ checkInvariants(const SmtCore &core, const AvfLedger &ledger, Cycle now)
     checkRob(core, now);
     checkIq(core, now);
     checkLsq(core, now);
+    checkMshrs(core, now);
     checkLedger(core, ledger, now);
 }
 

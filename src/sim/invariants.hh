@@ -28,8 +28,17 @@
  *                          global dispatch order, per-thread occupancy
  *                          counters consistent, partition bound respected
  *                          when MachineConfig::iqPartitioned
+ *  - iq.ready              the ready list is age-sorted and holds exactly
+ *                          the entries whose needed sources are written
+ *  - iq.wakeup             every other entry sits once on the wait list
+ *                          of each unwritten source it needs, and no
+ *                          list holds anything else
  *  - lsq.order             per-thread LSQ holds only memory instructions,
  *                          in program order, occupancy <= capacity
+ *  - lsq.oldest_store      each LSQ's cached oldest unissued store equals
+ *                          a fresh scan
+ *  - mem.mshr_due          no MSHR table's due cycle is later than its
+ *                          earliest ready entry
  *  - ledger.accounting     per structure, accumulated ACE + un-ACE
  *                          bit-cycles never exceed capacity x elapsed
  *                          cycles (bit conservation)

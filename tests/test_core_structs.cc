@@ -20,7 +20,7 @@ namespace
 InstPtr
 makeInstr(ThreadId tid, SeqNum seq, OpClass op = OpClass::IntAlu)
 {
-    auto in = std::make_shared<DynInstr>();
+    auto in = newTestInstr();
     in->tid = tid;
     in->seq = seq;
     in->globalSeq = seq;
@@ -127,60 +127,204 @@ TEST(RobTest, EmptyFrontIsNull)
 
 // ---- IQ --------------------------------------------------------------------
 
+/** An instruction with the given physical sources. */
+InstPtr
+makeOp(SeqNum seq, RegIndex src1, RegIndex src2,
+       OpClass op = OpClass::IntAlu)
+{
+    auto in = makeInstr(0, seq, op);
+    in->srcPhys1 = src1;
+    in->srcPhys2 = src2;
+    return in;
+}
+
+/** Global sequence numbers of the ready list, oldest first. */
+std::vector<SeqNum>
+readySeqs(const IssueQueue &iq)
+{
+    std::vector<SeqNum> out;
+    for (const auto &e : iq.readyList())
+        out.push_back(e.globalSeq);
+    return out;
+}
+
+/** Global sequence numbers in iteration order. */
+std::vector<SeqNum>
+iqSeqs(const IssueQueue &iq)
+{
+    std::vector<SeqNum> out;
+    for (const DynInstr *in : iq)
+        out.push_back(in->globalSeq);
+    return out;
+}
+
+std::size_t
+waiters(const IssueQueue &iq, RegIndex phys)
+{
+    std::size_t n = 0;
+    iq.forEachWaiter(phys, [&](const DynInstr &) { ++n; });
+    return n;
+}
+
 TEST(IqTest, CapacityAndFreeSlots)
 {
-    IssueQueue iq(3);
+    IssueQueue iq(3, 16);
     EXPECT_EQ(iq.freeSlots(), 3u);
-    iq.insert(makeInstr(0, 1));
+    auto in = makeInstr(0, 1);
+    iq.insert(in, true, true);
     EXPECT_EQ(iq.freeSlots(), 2u);
     EXPECT_FALSE(iq.full());
 }
 
 TEST(IqTest, InsertSetsInIqFlag)
 {
-    IssueQueue iq(4);
+    IssueQueue iq(4, 16);
     auto in = makeInstr(0, 1);
-    iq.insert(in);
+    iq.insert(in, true, true);
     EXPECT_TRUE(in->inIq);
     iq.remove(in);
     EXPECT_FALSE(in->inIq);
     EXPECT_EQ(iq.size(), 0u);
+    EXPECT_TRUE(iq.readyList().empty());
 }
 
 TEST(IqTest, RemoveUnknownPanics)
 {
     ThrowGuard guard;
-    IssueQueue iq(4);
+    IssueQueue iq(4, 16);
     EXPECT_THROW(iq.remove(makeInstr(0, 1)), SimError);
 }
 
 TEST(IqTest, RemoveSquashedFiltersByThreadAndSeq)
 {
-    IssueQueue iq(8);
+    // Squash of thread 0 after seq 1 removes only c, through remove().
+    IssueQueue iq(8, 16);
     auto a = makeInstr(0, 1);
     auto b = makeInstr(1, 2);
     auto c = makeInstr(0, 3);
-    iq.insert(a);
-    iq.insert(b);
-    iq.insert(c);
-    iq.removeSquashed(0, 1); // removes only c
+    iq.insert(a, true, true);
+    iq.insert(b, true, true);
+    iq.insert(c, true, true);
+    for (const auto &in : {a, b, c})
+        if (in->tid == 0 && in->seq > 1)
+            iq.remove(in);
     EXPECT_EQ(iq.size(), 2u);
     EXPECT_TRUE(a->inIq);
     EXPECT_TRUE(b->inIq);
     EXPECT_FALSE(c->inIq);
+    EXPECT_EQ(readySeqs(iq), (std::vector<SeqNum>{1, 2}));
 }
 
 TEST(IqTest, IterationIsAgeOrdered)
 {
-    IssueQueue iq(8);
-    iq.insert(makeInstr(0, 1));
-    iq.insert(makeInstr(1, 2));
-    iq.insert(makeInstr(0, 3));
-    SeqNum prev = 0;
-    for (const auto &in : iq) {
-        EXPECT_GT(in->globalSeq, prev);
-        prev = in->globalSeq;
+    IssueQueue iq(8, 16);
+    std::vector<InstPtr> keep = {makeInstr(0, 1), makeInstr(1, 2),
+                                 makeInstr(0, 3)};
+    for (const auto &in : keep)
+        iq.insert(in, true, true);
+    EXPECT_EQ(iqSeqs(iq), (std::vector<SeqNum>{1, 2, 3}));
+}
+
+TEST(IqTest, RemoveKeepsIterationAgeOrdered)
+{
+    IssueQueue iq(4, 16);
+    std::vector<InstPtr> in;
+    for (SeqNum s = 1; s <= 4; ++s) {
+        in.push_back(makeInstr(0, s));
+        iq.insert(in.back(), true, true);
     }
+    iq.remove(in[1]); // middle
+    EXPECT_EQ(iqSeqs(iq), (std::vector<SeqNum>{1, 3, 4}));
+    iq.remove(in[0]); // head
+    iq.remove(in[3]); // tail
+    EXPECT_EQ(iqSeqs(iq), (std::vector<SeqNum>{3}));
+    // Freed slots are reused; the newcomers still iterate youngest last.
+    auto e = makeInstr(0, 5);
+    auto f = makeInstr(0, 6);
+    iq.insert(e, true, true);
+    iq.insert(f, true, true);
+    EXPECT_EQ(iqSeqs(iq), (std::vector<SeqNum>{3, 5, 6}));
+    EXPECT_EQ(readySeqs(iq), (std::vector<SeqNum>{3, 5, 6}));
+}
+
+TEST(IqTest, SameUnwrittenRegisterAsBothSourcesWaitsOnce)
+{
+    IssueQueue iq(4, 16);
+    auto in = makeOp(1, 5, 5);
+    iq.insert(in, false, false);
+    EXPECT_EQ(waiters(iq, 5), 1u);
+    EXPECT_TRUE(iq.readyList().empty());
+    iq.wakeup(5); // one writeback satisfies both operands
+    EXPECT_EQ(readySeqs(iq), (std::vector<SeqNum>{1}));
+    EXPECT_EQ(waiters(iq, 5), 0u);
+}
+
+TEST(IqTest, StoreWaitsOnlyOnItsAddressSource)
+{
+    IssueQueue iq(4, 16);
+    auto data_pending = makeOp(1, 5, 6, OpClass::Store);
+    iq.insert(data_pending, true, false);
+    EXPECT_EQ(readySeqs(iq), (std::vector<SeqNum>{1}));
+    EXPECT_EQ(waiters(iq, 6), 0u);
+
+    auto addr_pending = makeOp(2, 7, 8, OpClass::Store);
+    iq.insert(addr_pending, false, false);
+    EXPECT_EQ(waiters(iq, 7), 1u);
+    EXPECT_EQ(waiters(iq, 8), 0u);
+    iq.wakeup(7);
+    EXPECT_EQ(readySeqs(iq), (std::vector<SeqNum>{1, 2}));
+}
+
+TEST(IqTest, SquashedWaiterIsUnlinked)
+{
+    IssueQueue iq(1, 16);
+    auto a = makeOp(1, 5, 6);
+    iq.insert(a, false, false);
+    iq.remove(a);
+    EXPECT_EQ(waiters(iq, 5), 0u);
+    EXPECT_EQ(waiters(iq, 6), 0u);
+    // The freed slot goes to a newcomer waiting on another register; the
+    // squashed entry's producers writing back must not wake it.
+    auto b = makeOp(2, 7, invalidReg);
+    iq.insert(b, false, true);
+    iq.wakeup(5);
+    iq.wakeup(6);
+    EXPECT_TRUE(iq.readyList().empty());
+    EXPECT_EQ(iq.size(), 1u);
+    iq.wakeup(7);
+    EXPECT_EQ(readySeqs(iq), (std::vector<SeqNum>{2}));
+}
+
+TEST(IqTest, OutOfOrderWakeupsStillIssueOldestFirst)
+{
+    IssueQueue iq(8, 16);
+    auto a = makeOp(1, 5, invalidReg);
+    auto b = makeOp(2, 6, invalidReg);
+    auto c = makeOp(3, invalidReg, invalidReg);
+    auto d = makeOp(4, 5, 6);
+    iq.insert(a, false, true);
+    iq.insert(b, false, true);
+    iq.insert(c, true, true);
+    iq.insert(d, false, false);
+    iq.wakeup(6); // the younger producer finishes first
+    iq.wakeup(5);
+    EXPECT_EQ(readySeqs(iq), (std::vector<SeqNum>{1, 2, 3, 4}));
+
+    // Skip keeps an entry ready, Issue removes it, Stop ends the scan.
+    std::vector<SeqNum> seen;
+    iq.select([&](const IssueQueue::ReadyEntry &e) {
+        seen.push_back(e.globalSeq);
+        if (e.globalSeq == 2)
+            return IssueQueue::Pick::Skip;
+        if (e.globalSeq == 4)
+            return IssueQueue::Pick::Stop;
+        return IssueQueue::Pick::Issue;
+    });
+    EXPECT_EQ(seen, (std::vector<SeqNum>{1, 2, 3, 4}));
+    EXPECT_EQ(readySeqs(iq), (std::vector<SeqNum>{2, 4}));
+    EXPECT_EQ(iqSeqs(iq), (std::vector<SeqNum>{2, 4}));
+    EXPECT_FALSE(a->inIq);
+    EXPECT_FALSE(c->inIq);
 }
 
 // ---- LSQ -------------------------------------------------------------------
@@ -208,9 +352,62 @@ TEST(LsqTest, LoadWaitsForOlderStoreIssue)
     auto load = makeMem(0, 2, OpClass::Load, 0x200, 4);
     lsq.push(store);
     lsq.push(load);
-    EXPECT_FALSE(lsq.loadMayIssue(load));
-    store->issued = true;
-    EXPECT_TRUE(lsq.loadMayIssue(load));
+    EXPECT_FALSE(lsq.loadMayIssue(load->seq));
+    lsq.markIssued(*store);
+    EXPECT_TRUE(lsq.loadMayIssue(load->seq));
+}
+
+TEST(LsqTest, StoresIssuingOutOfOrder)
+{
+    Lsq lsq(8);
+    auto s1 = makeMem(0, 1, OpClass::Store, 0x100, 4);
+    auto s2 = makeMem(0, 2, OpClass::Store, 0x200, 4);
+    auto load = makeMem(0, 3, OpClass::Load, 0x300, 4);
+    lsq.push(s1);
+    lsq.push(s2);
+    lsq.push(load);
+    lsq.markIssued(*s2); // the younger store's address is ready first
+    EXPECT_EQ(lsq.oldestUnissuedStore(), 1u);
+    EXPECT_FALSE(lsq.loadMayIssue(load->seq));
+    lsq.markIssued(*s1); // the cache skips the already-issued s2
+    EXPECT_EQ(lsq.oldestUnissuedStore(), Lsq::noStore);
+    EXPECT_TRUE(lsq.loadMayIssue(load->seq));
+}
+
+TEST(LsqTest, SquashOfOldestUnissuedStore)
+{
+    Lsq lsq(8);
+    auto s1 = makeMem(0, 1, OpClass::Store, 0x100, 4);
+    auto load = makeMem(0, 2, OpClass::Load, 0x200, 4);
+    auto s3 = makeMem(0, 3, OpClass::Store, 0x300, 4);
+    auto s4 = makeMem(0, 4, OpClass::Store, 0x400, 4);
+    lsq.push(s1);
+    lsq.markIssued(*s1);
+    lsq.push(load);
+    lsq.push(s3);
+    lsq.push(s4);
+    EXPECT_EQ(lsq.oldestUnissuedStore(), 3u);
+    EXPECT_TRUE(lsq.loadMayIssue(load->seq)); // s3 is younger
+    EXPECT_FALSE(lsq.loadMayIssue(5));
+    lsq.squashAfter(2); // takes s3 and s4 with it
+    EXPECT_EQ(lsq.oldestUnissuedStore(), Lsq::noStore);
+    EXPECT_TRUE(lsq.loadMayIssue(5));
+    EXPECT_EQ(lsq.oldestUnissuedStore(), lsq.scanOldestUnissuedStore());
+}
+
+TEST(LsqTest, StorePushedWhileNonePending)
+{
+    Lsq lsq(8);
+    auto done = makeMem(0, 1, OpClass::Store, 0x100, 4);
+    done->issued = true; // already issued when pushed: never pending
+    lsq.push(done);
+    lsq.push(makeMem(0, 2, OpClass::Load, 0x200, 4));
+    EXPECT_EQ(lsq.oldestUnissuedStore(), Lsq::noStore);
+    lsq.push(makeMem(0, 3, OpClass::Store, 0x300, 4));
+    EXPECT_EQ(lsq.oldestUnissuedStore(), 3u);
+    lsq.push(makeMem(0, 4, OpClass::Store, 0x400, 4));
+    EXPECT_EQ(lsq.oldestUnissuedStore(), 3u); // the older one stays
+    EXPECT_FALSE(lsq.loadMayIssue(5));
 }
 
 TEST(LsqTest, ForwardingRequiresOverlap)
@@ -225,9 +422,9 @@ TEST(LsqTest, ForwardingRequiresOverlap)
     lsq.push(hit);
     lsq.push(partial);
     lsq.push(miss);
-    EXPECT_TRUE(lsq.canForward(hit));
-    EXPECT_TRUE(lsq.canForward(partial)); // byte ranges intersect
-    EXPECT_FALSE(lsq.canForward(miss));
+    EXPECT_TRUE(lsq.canForward(*hit));
+    EXPECT_TRUE(lsq.canForward(*partial)); // byte ranges intersect
+    EXPECT_FALSE(lsq.canForward(*miss));
 }
 
 TEST(LsqTest, YoungerStoresDoNotForwardBackwards)
@@ -238,8 +435,8 @@ TEST(LsqTest, YoungerStoresDoNotForwardBackwards)
     store->issued = true;
     lsq.push(load);
     lsq.push(store);
-    EXPECT_FALSE(lsq.canForward(load));
-    EXPECT_TRUE(lsq.loadMayIssue(load));
+    EXPECT_FALSE(lsq.canForward(*load));
+    EXPECT_TRUE(lsq.loadMayIssue(load->seq));
 }
 
 TEST(LsqTest, CommitMustBeOldest)

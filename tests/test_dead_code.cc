@@ -17,7 +17,7 @@ InstPtr
 makeInstr(ThreadId tid, RegIndex dest, RegIndex src1 = invalidReg,
           RegIndex src2 = invalidReg)
 {
-    auto in = std::make_shared<DynInstr>();
+    auto in = newTestInstr();
     in->tid = tid;
     in->op = OpClass::IntAlu;
     in->destReg = dest;

@@ -18,7 +18,7 @@ InstPtr
 rec(ThreadId tid, OpClass op, RegIndex dest, RegIndex src1 = invalidReg,
     RegIndex src2 = invalidReg, Addr addr = 0, std::uint8_t size = 0)
 {
-    auto in = std::make_shared<DynInstr>();
+    auto in = newTestInstr();
     in->tid = tid;
     in->op = op;
     in->destReg = dest;

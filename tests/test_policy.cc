@@ -17,6 +17,7 @@
 #include "policy/rat.hh"
 #include "policy/round_robin.hh"
 #include "policy/stall.hh"
+#include "test_util.hh"
 
 namespace smtavf
 {
@@ -62,7 +63,7 @@ class FakeContext : public PolicyContext
 InstPtr
 makeLoad(ThreadId tid, SeqNum seq, Addr pc)
 {
-    auto in = std::make_shared<DynInstr>();
+    auto in = newTestInstr();
     in->tid = tid;
     in->seq = seq;
     in->pc = pc;

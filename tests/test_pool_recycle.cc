@@ -14,6 +14,7 @@
 
 #include <string>
 
+#include "isa/instr_pool.hh"
 #include "sim/campaign.hh"
 #include "sim/journal.hh"
 #include "workload/mixes.hh"
@@ -72,6 +73,41 @@ TEST(PoolRecycle, SquashHeavyFlushRunBitIdentical)
     auto second = runExperiment(e);
     EXPECT_EQ(resultText(e, first), resultText(e, second));
     EXPECT_GT(first.cycles, 0u);
+}
+
+TEST(PoolRecycle, LastHandleReturnsTheRecord)
+{
+    InstrPool pool;
+    DynInstr *first = nullptr;
+    {
+        InstPtr a = pool.create(DynInstr{});
+        InstPtr b = a;
+        first = a.get();
+        EXPECT_EQ(b->ref.count, 2u);
+        a = nullptr;
+        EXPECT_EQ(b->ref.count, 1u);
+        DynInstr copy = *b; // copying a record never copies ownership
+        EXPECT_EQ(copy.ref.count, 0u);
+        EXPECT_EQ(copy.ref.pool, nullptr);
+    }
+    InstPtr c = pool.create(DynInstr{});
+    EXPECT_EQ(c.get(), first); // the freed slot is reused first
+    EXPECT_EQ(c->ref.count, 1u);
+}
+
+/**
+ * A handle that outlives its pool would be a use-after-free; the pool's
+ * destructor aborts instead.
+ */
+TEST(PoolRecycleDeathTest, PoolDestroyedUnderALiveHandleAborts)
+{
+    EXPECT_DEATH(
+        {
+            auto *pool = new InstrPool;
+            InstPtr keep = pool->create(DynInstr{});
+            delete pool;
+        },
+        "InstrPool destroyed with 1 live instructions");
 }
 
 } // namespace

@@ -648,6 +648,103 @@ TEST(Invariants, DetectsOutOfBankCorruption)
                  InvariantError);
 }
 
+/** Run checkInvariants and require it to flag @p invariant. */
+void
+expectViolation(Simulator &sim, const std::string &invariant)
+{
+    try {
+        checkInvariants(sim.core(), sim.ledger(), sim.core().now());
+        FAIL() << "expected InvariantError " << invariant;
+    } catch (const InvariantError &err) {
+        EXPECT_EQ(err.invariant, invariant) << err.what();
+        EXPECT_FALSE(err.stateDump.empty());
+    }
+}
+
+/** Tick @p sim until @p ready holds (at most 5000 cycles). */
+template <class Pred>
+bool
+tickUntil(Simulator &sim, Pred &&ready)
+{
+    for (int i = 0; i < 5000; ++i) {
+        sim.core().tick();
+        if (ready())
+            return true;
+    }
+    return false;
+}
+
+TEST(Invariants, DetectsLostWakeup)
+{
+    // Drop one ready-list entry: an operand-ready instruction the select
+    // stage would never see again.
+    auto exps = fourMixCampaign();
+    Simulator sim(exps[1].cfg, exps[1].mix);
+    auto &iq = sim.core().issueQueue();
+    ASSERT_TRUE(tickUntil(sim, [&] { return !iq.readyList().empty(); }));
+    ASSERT_NO_THROW(
+        checkInvariants(sim.core(), sim.ledger(), sim.core().now()));
+    iq.debugDropReady(0);
+    expectViolation(sim, "iq.ready");
+}
+
+TEST(Invariants, DetectsStaleWaitList)
+{
+    // Unlink a waiter without waking it: its producer's writeback would
+    // leave it waiting forever.
+    auto exps = fourMixCampaign();
+    Simulator sim(exps[2].cfg, exps[2].mix);
+    auto &iq = sim.core().issueQueue();
+    RegIndex waited = invalidReg;
+    ASSERT_TRUE(tickUntil(sim, [&] {
+        for (std::uint32_t p = 0; p < iq.numPhysRegs(); ++p) {
+            bool any = false;
+            iq.forEachWaiter(static_cast<RegIndex>(p),
+                             [&](const DynInstr &) { any = true; });
+            if (any) {
+                waited = static_cast<RegIndex>(p);
+                return true;
+            }
+        }
+        return false;
+    }));
+    ASSERT_NO_THROW(
+        checkInvariants(sim.core(), sim.ledger(), sim.core().now()));
+    iq.debugUnlinkWaiter(waited);
+    expectViolation(sim, "iq.wakeup");
+}
+
+TEST(Invariants, DetectsStaleOldestStoreCache)
+{
+    // A cached oldest unissued store that disagrees with the queue lets
+    // loads pass stores they must wait for (or blocks them for ever).
+    auto exps = fourMixCampaign();
+    Simulator sim(exps[0].cfg, exps[0].mix);
+    for (int i = 0; i < 200; ++i)
+        sim.core().tick();
+    ASSERT_NO_THROW(
+        checkInvariants(sim.core(), sim.ledger(), sim.core().now()));
+    sim.core().lsq(0).debugCorruptOldestStore(0); // seqs start at 1
+    expectViolation(sim, "lsq.oldest_store");
+}
+
+TEST(Invariants, DetectsLateMshrDueCycle)
+{
+    // A due cycle past an entry's ready cycle would make tick() land that
+    // fill late, moving every cache timestamp after it.
+    auto exps = fourMixCampaign();
+    Simulator sim(exps[2].cfg, exps[2].mix);
+    auto &hier = sim.hierarchy();
+    ASSERT_TRUE(
+        tickUntil(sim, [&] { return hier.outstandingDl1Misses() > 0; }));
+    ASSERT_NO_THROW(
+        checkInvariants(sim.core(), sim.ledger(), sim.core().now()));
+    const auto dues = hier.mshrDue();
+    ASSERT_EQ(std::string(dues[2].table), "dl1");
+    hier.debugCorruptMshrDue(2, dues[2].earliestReady + 1);
+    expectViolation(sim, "mem.mshr_due");
+}
+
 TEST(Invariants, SimulatorPeriodicCheckCatchesCorruptionMidRun)
 {
     // Corrupt the machine, then let Simulator::run()'s periodic check

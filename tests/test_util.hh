@@ -1,13 +1,15 @@
 /**
  * @file
  * Shared test helpers: RAII guard that turns panic()/fatal() into thrown
- * SimError so death paths are testable in-process.
+ * SimError so death paths are testable in-process, and a source of
+ * stand-alone instruction handles.
  */
 
 #ifndef SMTAVF_TESTS_TEST_UTIL_HH
 #define SMTAVF_TESTS_TEST_UTIL_HH
 
 #include "base/logging.hh"
+#include "isa/instr_pool.hh"
 
 namespace smtavf
 {
@@ -21,6 +23,18 @@ class ThrowGuard
     ThrowGuard(const ThrowGuard &) = delete;
     ThrowGuard &operator=(const ThrowGuard &) = delete;
 };
+
+/**
+ * A default-constructed instruction for unit tests that build pipeline
+ * structures by hand. Its pool is never destroyed, so a test may hold the
+ * handle as long as it likes.
+ */
+inline InstPtr
+newTestInstr()
+{
+    static InstrPool &pool = *new InstrPool;
+    return pool.create(DynInstr{});
+}
 
 } // namespace smtavf
 

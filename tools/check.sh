@@ -193,6 +193,13 @@ for preset in $presets; do
         "$build/bench/bench_micro_sim" --benchmark_min_time=0.05 \
             --benchmark_filter='BM_SimulatedInstructions' >/dev/null
 
+        # The wall-clock benchmark's own tests (perfbench/, smoke sizes).
+        # Every run passes its correctness gate (byte-identical records,
+        # result digests) before printing a number, so a tick-loop change
+        # that breaks the benchmark fails here rather than after merge.
+        echo "==> [$preset] perfbench tests"
+        python3 "$repo/perfbench/test_perfbench.py"
+
         # End-to-end flag validation: malformed protect invocations must
         # exit 2 (usage error) without starting a campaign. The unit-level
         # equivalent is tests/test_explorer_fuzz.cc; this leg pins the
