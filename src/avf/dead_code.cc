@@ -12,15 +12,40 @@ DeadCodeAnalyzer::DeadCodeAnalyzer(unsigned num_threads, AvfLedger &ledger,
 }
 
 void
-DeadCodeAnalyzer::resolve(const InstPtr &in, bool dead)
+DeadCodeAnalyzer::bookResidency(DynInstr &in, bool ace)
 {
-    bool ace = !dead && !in->neverAce();
-    in->destDead = dead;
-    for (const auto &iv : in->pending)
-        ledger_.addInterval(iv.structure, in->tid, iv.bitCount, iv.start,
-                            iv.end, ace);
-    in->pending.clear();
-    if (in->writesReg() && !in->neverAce()) {
+    if (in.residency != Residency::Committed &&
+        in.residency != Residency::Cut)
+        return;
+    const bool committed = in.residency == Residency::Committed;
+    const ThreadId tid = in.tid;
+    const Cycle end = in.endCycle;
+    ledger_.addInterval(HwStruct::IQ, tid, bits::iqEntry, in.dispatchCycle,
+                        in.issued ? in.issueCycle : end, ace);
+    if (in.fuEnd != 0)
+        ledger_.addInterval(HwStruct::FU, tid, bits::fuLatch, in.issueCycle,
+                            in.fuEnd, ace);
+    ledger_.addInterval(HwStruct::ROB, tid, bits::robEntry, in.dispatchCycle,
+                        end, ace);
+    if (in.isMem()) {
+        ledger_.addInterval(HwStruct::LsqTag, tid, bits::lsqTag,
+                            in.dispatchCycle, end, ace);
+        Cycle data_start = !committed ? in.dispatchCycle
+                           : in.op == OpClass::Load ? in.completeCycle
+                                                    : in.issueCycle;
+        ledger_.addInterval(HwStruct::LsqData, tid, bits::lsqData,
+                            data_start, end, ace);
+    }
+    in.residency = Residency::Booked;
+}
+
+void
+DeadCodeAnalyzer::resolve(DynInstr &in, bool dead)
+{
+    const bool never_ace = in.neverAce();
+    in.destDead = dead;
+    bookResidency(in, !dead && !never_ace);
+    if (in.writesReg() && !never_ace) {
         ++resolvedCount_;
         if (dead)
             ++deadCount_;
@@ -39,24 +64,19 @@ DeadCodeAnalyzer::onCommit(const InstPtr &in)
         if (src == invalidReg)
             continue;
         if (auto &producer = slots[src]) {
-            resolve(producer, false);
+            resolve(*producer, false);
             producer = nullptr;
         }
     }
 
-    if (!in->writesReg()) {
-        resolve(in, false);
-        return false;
-    }
-
-    if (!enabled_) {
-        resolve(in, false);
+    if (!in->writesReg() || !enabled_) {
+        resolve(*in, false);
         return false;
     }
 
     bool exposed_dead = false;
     if (auto &prev = slots[in->destReg]) {
-        resolve(prev, true);
+        resolve(*prev, true);
         prev = nullptr;
         exposed_dead = true;
     }
@@ -69,13 +89,13 @@ DeadCodeAnalyzer::onSquash(const InstPtr &in)
 {
     if (!in->squashed && !in->wrongPath)
         SMTAVF_PANIC("onSquash() for a non-squashed instruction");
-    resolve(in, false); // neverAce() forces the intervals un-ACE
+    resolve(*in, false); // neverAce() forces the intervals un-ACE
 }
 
 void
 DeadCodeAnalyzer::resolveLive(const InstPtr &in)
 {
-    resolve(in, false);
+    resolve(*in, false);
 }
 
 void
@@ -84,7 +104,7 @@ DeadCodeAnalyzer::finish()
     for (auto &slots : pending_) {
         for (auto &producer : slots) {
             if (producer) {
-                resolve(producer, false);
+                resolve(*producer, false);
                 producer = nullptr;
             }
         }

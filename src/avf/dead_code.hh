@@ -6,9 +6,11 @@
  * register is overwritten before any later instruction reads it: a soft
  * error in any of its pipeline residency is architecturally masked, so its
  * bits are un-ACE everywhere (Mukherjee et al.). Deadness is only knowable
- * at the *next writer's* commit, so instructions park their closed
- * residency intervals (DynInstr::pending) here until resolution; the
- * analyzer then classifies them and forwards the bit-cycles to the ledger.
+ * at the *next writer's* commit, so committed producers park here until
+ * resolution. The core only stamps each instruction's residency (dispatch,
+ * issue, FU-latch end, and when and how it left the pipeline); resolution
+ * derives the per-structure intervals from those stamps, classifies them
+ * and forwards the bit-cycles to the ledger, once.
  *
  * Committed readers, not speculative ones, decide liveness: a consumer
  * that was squashed never architecturally read the value.
@@ -106,7 +108,18 @@ class DeadCodeAnalyzer
     }
 
   private:
-    void resolve(const InstPtr &in, bool dead);
+    void resolve(DynInstr &in, bool dead);
+
+    /**
+     * Book @p in's residency intervals, derived from its stamps, as
+     * @p ace; a no-op unless its residency is closed and not yet booked:
+     *  - IQ: [dispatch, issued ? issue : end];
+     *  - FU latch: [issue, fuEnd], if it issued to a unit;
+     *  - ROB and LSQ tag: [dispatch, end];
+     *  - LSQ data: from the value's arrival (committed: load complete or
+     *    store issue; otherwise dispatch) to end.
+     */
+    void bookResidency(DynInstr &in, bool ace);
 
     AvfLedger &ledger_;
     bool enabled_;

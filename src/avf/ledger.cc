@@ -42,29 +42,21 @@ AvfLedger::setStructureBits(HwStruct s, std::uint64_t total_bits,
 }
 
 void
-AvfLedger::addInterval(HwStruct s, ThreadId tid, std::uint32_t bits,
-                       Cycle start, Cycle end, bool ace)
+AvfLedger::badInterval(HwStruct s, ThreadId tid, Cycle start,
+                       Cycle end) const
 {
     if (end < start)
         SMTAVF_PANIC("interval ends before it starts: ", start, " .. ", end,
                      " in ", hwStructName(s));
-    if (tid >= numThreads_)
-        SMTAVF_PANIC("interval from unknown thread ", tid);
-    std::uint64_t bit_cycles = static_cast<std::uint64_t>(bits) *
-                               (end - start);
-    if (ace) {
-        ace_[idx(s)][tid] += bit_cycles;
-        std::uint64_t covered = smtavf::coveredAceBitCycles(
-            protection_.schemeFor(s), protection_.scrubIntervalFor(s), bits,
-            start, end);
-        if (covered > bit_cycles)
-            SMTAVF_PANIC("protection covers ", covered, " of ", bit_cycles,
-                         " bit-cycles in ", hwStructName(s));
-        aceCovered_[idx(s)][tid] += covered;
-        aceResidual_[idx(s)][tid] += bit_cycles - covered;
-    } else {
-        unAce_[idx(s)][tid] += bit_cycles;
-    }
+    SMTAVF_PANIC("interval from unknown thread ", tid);
+}
+
+void
+AvfLedger::badCoverage(HwStruct s, std::uint64_t covered,
+                       std::uint64_t bit_cycles)
+{
+    SMTAVF_PANIC("protection covers ", covered, " of ", bit_cycles,
+                 " bit-cycles in ", hwStructName(s));
 }
 
 void

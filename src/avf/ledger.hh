@@ -60,11 +60,37 @@ class AvfLedger
     const ProtectionConfig &protection() const { return protection_; }
 
     /**
-     * Record a closed residency interval [start, end) of @p bits bits
-     * belonging to thread @p tid in structure @p s, already classified.
+     * Record @p count identical closed residency intervals [start, end) of
+     * @p bits bits belonging to thread @p tid in structure @p s, already
+     * classified. Booking k at once equals k single calls exactly:
+     * protection coverage is floored per interval, then multiplied.
      */
-    void addInterval(HwStruct s, ThreadId tid, std::uint32_t bits,
-                     Cycle start, Cycle end, bool ace);
+    void
+    addInterval(HwStruct s, ThreadId tid, std::uint32_t bits, Cycle start,
+                Cycle end, bool ace, std::uint32_t count = 1)
+    {
+        if (end < start || tid >= numThreads_) [[unlikely]]
+            badInterval(s, tid, start, end);
+        const std::size_t i = idx(s);
+        const std::uint64_t bit_cycles =
+            static_cast<std::uint64_t>(bits) * (end - start);
+        if (!ace) {
+            unAce_[i][tid] += bit_cycles * count;
+            return;
+        }
+        ace_[i][tid] += bit_cycles * count;
+        const ProtScheme scheme = protection_.scheme[i];
+        if (scheme == ProtScheme::None) {
+            aceResidual_[i][tid] += bit_cycles * count;
+            return;
+        }
+        const std::uint64_t covered = smtavf::coveredAceBitCycles(
+            scheme, protection_.scrubIntervalFor(s), bits, start, end);
+        if (covered > bit_cycles) [[unlikely]]
+            badCoverage(s, covered, bit_cycles);
+        aceCovered_[i][tid] += covered * count;
+        aceResidual_[i][tid] += (bit_cycles - covered) * count;
+    }
 
     /** Fix the run length; AVFs are undefined before this is called. */
     void finalize(Cycle total_cycles);
@@ -148,6 +174,14 @@ class AvfLedger
     {
         return static_cast<std::size_t>(s);
     }
+
+    /** Panic on a reversed interval or an unknown thread. */
+    [[noreturn, gnu::cold]] void badInterval(HwStruct s, ThreadId tid,
+                                             Cycle start, Cycle end) const;
+
+    /** Panic on protection covering more than the interval's bits. */
+    [[noreturn, gnu::cold]] static void
+    badCoverage(HwStruct s, std::uint64_t covered, std::uint64_t bit_cycles);
 
     unsigned numThreads_;
     std::array<std::uint64_t, numHwStructs> structBits_{};

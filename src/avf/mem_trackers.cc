@@ -13,11 +13,13 @@ CacheVulnTracker::CacheVulnTracker(Cache &cache, AvfLedger &ledger,
     : ledger_(ledger), dataStruct_(data_struct), tagStruct_(tag_struct),
       lineBytes_(cache.config().lineBytes),
       granBytes_(per_byte ? 1 : cache.config().lineBytes),
-      unitsPerLine_(lineBytes_ / granBytes_)
+      unitsPerLine_(lineBytes_ / granBytes_),
+      maskWords_((unitsPerLine_ + 63) / 64)
 {
     auto lines = cache.numLines();
     lines_.resize(lines);
     units_.resize(static_cast<std::size_t>(lines) * unitsPerLine_);
+    touched_.resize(static_cast<std::size_t>(lines) * maskWords_);
 
     // 48-bit physical tag minus index/offset bits, plus valid/dirty/LRU.
     std::uint32_t offset_bits = std::countr_zero(lineBytes_);
@@ -41,9 +43,10 @@ CacheVulnTracker::onFill(std::uint32_t slot, Addr line_addr, ThreadId tid,
     if (line.valid)
         SMTAVF_PANIC("fill into a live tracked line (missing eviction)");
     line = {true, tid, now, now, false};
-    auto base = static_cast<std::size_t>(slot) * unitsPerLine_;
-    for (std::uint32_t b = 0; b < unitsPerLine_; ++b)
-        units_[base + b] = {now, false};
+    // Every unit now reads as (now, clean) through the line's fillCycle.
+    auto *mask = &touched_[static_cast<std::size_t>(slot) * maskWords_];
+    for (std::uint32_t w = 0; w < maskWords_; ++w)
+        mask[w] = 0;
 }
 
 void
@@ -65,18 +68,27 @@ CacheVulnTracker::onAccess(std::uint32_t slot, Addr addr, std::uint32_t size,
     if (last > unitsPerLine_)
         last = unitsPerLine_;
 
-    auto base = static_cast<std::size_t>(slot) * unitsPerLine_;
+    // Each unit's interval ends here. One ending in a read carried a
+    // consumed value: ACE. One ending in an overwrite was never needed
+    // again: un-ACE. Units whose intervals opened in the same cycle book
+    // as one run.
+    const std::uint64_t write_bit = is_write ? dirtyBit : 0;
+    Cycle run_since = 0;
+    std::uint32_t run_len = 0;
     for (std::uint32_t b = first; b < last; ++b) {
-        auto &unit = units_[base + b];
-        // An interval ending in a read carried a consumed value: ACE.
-        // One ending in an overwrite was never needed again: un-ACE.
-        ledger_.addInterval(dataStruct_, line.tid,
-                            granBytes_ * bits::cacheByte, unit.since, now,
-                            !is_write);
-        unit.since = now;
-        if (is_write)
-            unit.dirty = true;
+        const std::uint64_t v = unitValue(slot, b);
+        const Cycle since = v & ~dirtyBit;
+        if (run_len != 0 && since != run_since) {
+            bookUnits(line.tid, run_since, now, !is_write, run_len);
+            run_len = 0;
+        }
+        run_since = since;
+        ++run_len;
+        units_[unitIndex(slot, b)] = now | (v & dirtyBit) | write_bit;
+        touched_[maskIndex(slot, b)] |= maskBit(b);
     }
+    if (run_len != 0)
+        bookUnits(line.tid, run_since, now, !is_write, run_len);
 }
 
 void
@@ -86,14 +98,34 @@ CacheVulnTracker::onEvict(std::uint32_t slot, bool dirty, Cycle now)
     if (!line.valid)
         SMTAVF_PANIC("evicting an invalid tracked line");
 
-    auto base = static_cast<std::size_t>(slot) * unitsPerLine_;
-    for (std::uint32_t b = 0; b < unitsPerLine_; ++b) {
-        auto &unit = units_[base + b];
-        // Dirty bytes must survive to the writeback; clean tails are dead.
-        ledger_.addInterval(dataStruct_, line.tid,
-                            granBytes_ * bits::cacheByte, unit.since, now,
-                            unit.dirty);
+    // Dirty units must survive to the writeback (ACE); clean tails are
+    // dead. Untouched units are one clean run from the fill; the touched
+    // ones book as runs of equal (since, dirty) state.
+    const auto *mask = &touched_[static_cast<std::size_t>(slot) * maskWords_];
+    std::uint32_t touched = 0;
+    for (std::uint32_t w = 0; w < maskWords_; ++w)
+        touched += static_cast<std::uint32_t>(std::popcount(mask[w]));
+    if (touched < unitsPerLine_)
+        bookUnits(line.tid, line.fillCycle, now, false,
+                  unitsPerLine_ - touched);
+
+    const std::uint64_t *units = &units_[unitIndex(slot, 0)];
+    std::uint64_t run_v = 0;
+    std::uint32_t run_len = 0;
+    for (std::uint32_t w = 0; w < maskWords_; ++w) {
+        for (std::uint64_t m = mask[w]; m != 0; m &= m - 1) {
+            const std::uint64_t v = units[w * 64 + std::countr_zero(m)];
+            if (run_len != 0 && v != run_v) {
+                bookUnits(line.tid, run_v, now, (run_v & dirtyBit) != 0,
+                          run_len);
+                run_len = 0;
+            }
+            run_v = v;
+            ++run_len;
+        }
     }
+    if (run_len != 0)
+        bookUnits(line.tid, run_v, now, (run_v & dirtyBit) != 0, run_len);
 
     if (dirty || line.dirty) {
         ledger_.addInterval(tagStruct_, line.tid, tagBits_, line.fillCycle,

@@ -23,12 +23,6 @@ splitmix64(std::uint64_t &x)
     return mix64(x);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed_value)
@@ -44,52 +38,9 @@ Rng::seed(std::uint64_t value)
 }
 
 std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-std::uint64_t
-Rng::uniform(std::uint64_t bound)
-{
-    if (bound == 0)
-        return 0;
-    // Lemire-style rejection to avoid modulo bias.
-    std::uint64_t x = next();
-    std::uint64_t threshold = -bound % bound;
-    while (x < threshold)
-        x = next();
-    return x % bound;
-}
-
-std::uint64_t
 Rng::uniformRange(std::uint64_t lo, std::uint64_t hi)
 {
     return lo + uniform(hi - lo + 1);
-}
-
-double
-Rng::uniformReal()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniformReal() < p;
 }
 
 unsigned

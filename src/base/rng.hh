@@ -27,19 +27,62 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit draw. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+        const std::uint64_t t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
-    /** Uniform integer in [0, bound). bound must be > 0. */
-    std::uint64_t uniform(std::uint64_t bound);
+    /**
+     * Uniform integer in [0, bound); 0 (without drawing) for bound 0.
+     * Rejects draws below 2^64 mod bound to avoid modulo bias. That
+     * threshold is always below bound, so a draw at or above bound is
+     * accepted without computing it; power-of-two bounds never reject.
+     */
+    std::uint64_t
+    uniform(std::uint64_t bound)
+    {
+        if (bound == 0)
+            return 0;
+        std::uint64_t x = next();
+        if ((bound & (bound - 1)) == 0)
+            return x & (bound - 1);
+        if (x < bound) {
+            const std::uint64_t threshold = -bound % bound;
+            while (x < threshold)
+                x = next();
+        }
+        return x % bound;
+    }
 
     /** Uniform integer in [lo, hi] inclusive. */
     std::uint64_t uniformRange(std::uint64_t lo, std::uint64_t hi);
 
     /** Uniform double in [0, 1). */
-    double uniformReal();
+    double
+    uniformReal()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** True with probability p (clamped to [0,1]). */
-    bool bernoulli(double p);
+    bool
+    bernoulli(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return uniformReal() < p;
+    }
 
     /**
      * Geometric draw: number of failures before first success with success
@@ -67,6 +110,12 @@ class Rng
     }
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> state_;
 };
 

@@ -3,12 +3,11 @@
  * SmallVec: a vector with inline storage for its first N elements.
  *
  * The simulator's hot structures attach short, bounded lists to records
- * that are created and recycled millions of times per run (the
- * per-instruction pending-interval list, MSHR merge lists). A
- * std::vector pays one heap allocation per non-empty list; SmallVec keeps
- * the common case entirely inside the owning object and only touches the
- * heap when a list outgrows its inline capacity — which the callers size
- * so that it never happens in steady state.
+ * that are created and recycled millions of times per run (the MSHR merge
+ * lists). A std::vector pays one heap allocation per non-empty list;
+ * SmallVec keeps the common case entirely inside the owning object and
+ * only touches the heap when a list outgrows its inline capacity — which
+ * the callers size so that it never happens in steady state.
  *
  * Restricted to trivially copyable element types so growth and copies are
  * memcpy and the inline buffer needs no per-element destruction.

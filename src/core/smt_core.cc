@@ -344,19 +344,9 @@ SmtCore::commitStage()
                 break;
 
             th.rob.popFront();
-
-            head->pending.push_back({HwStruct::ROB, bits::robEntry,
-                                     head->dispatchCycle, now_});
-            if (head->isMem()) {
+            head->closeResidency(Residency::Committed, now_);
+            if (head->isMem())
                 th.lsq.popCommitted(head);
-                head->pending.push_back({HwStruct::LsqTag, bits::lsqTag,
-                                         head->dispatchCycle, now_});
-                Cycle data_start = head->op == OpClass::Load
-                                       ? head->completeCycle
-                                       : head->issueCycle;
-                head->pending.push_back({HwStruct::LsqData, bits::lsqData,
-                                         data_start, now_});
-            }
             if (head->op == OpClass::Store)
                 hier_.storeCommit(tid, head->memAddr, head->memSize, now_);
 
@@ -394,8 +384,6 @@ SmtCore::tryIssue(DynInstr &in, unsigned &mem_ports_used)
         in.issued = true;
     in.issueCycle = now_;
     ++th.issuedCount;
-    in.pending.push_back({HwStruct::IQ, bits::iqEntry, in.dispatchCycle,
-                          now_});
 
     std::uint32_t lat = execLatency(in.op);
     Cycle done;
@@ -426,10 +414,8 @@ SmtCore::tryIssue(DynInstr &in, unsigned &mem_ports_used)
         done = now_ + lat;
     }
 
-    if (type != FuType::None) {
-        Cycle fu_end = in.isMem() ? now_ + 1 : now_ + lat;
-        in.pending.push_back({HwStruct::FU, bits::fuLatch, now_, fu_end});
-    }
+    if (type != FuType::None)
+        in.fuEnd = in.isMem() ? now_ + 1 : now_ + lat;
 
     scheduleCompletion(InstPtr(&in), done);
     return true;
@@ -626,21 +612,12 @@ SmtCore::squashAfter(ThreadId tid, SeqNum seq)
             regfile_.releaseSquashed(in->destPhys, now_);
         }
         if (in->inIq) {
-            in->pending.push_back({HwStruct::IQ, bits::iqEntry,
-                                   in->dispatchCycle, now_});
             iq_.remove(in);
             --th.iqCount;
             if (in->wrongPath)
                 --th.wrongPathFrontIq;
         }
-        in->pending.push_back({HwStruct::ROB, bits::robEntry,
-                               in->dispatchCycle, now_});
-        if (in->isMem()) {
-            in->pending.push_back({HwStruct::LsqTag, bits::lsqTag,
-                                   in->dispatchCycle, now_});
-            in->pending.push_back({HwStruct::LsqData, bits::lsqData,
-                                   in->dispatchCycle, now_});
-        }
+        in->closeResidency(Residency::Cut, now_);
         if (in->op == OpClass::Load) {
             if (in->issued && !in->completed && in->dl1Miss) {
                 --th.outL1D;
@@ -712,17 +689,7 @@ SmtCore::finalizeAvf()
     for (auto &thp : threads_) {
         auto &th = *thp;
         for (const auto &in : th.rob) {
-            if (in->inIq)
-                in->pending.push_back({HwStruct::IQ, bits::iqEntry,
-                                       in->dispatchCycle, now_});
-            in->pending.push_back({HwStruct::ROB, bits::robEntry,
-                                   in->dispatchCycle, now_});
-            if (in->isMem()) {
-                in->pending.push_back({HwStruct::LsqTag, bits::lsqTag,
-                                       in->dispatchCycle, now_});
-                in->pending.push_back({HwStruct::LsqData, bits::lsqData,
-                                       in->dispatchCycle, now_});
-            }
+            in->closeResidency(Residency::Cut, now_);
             analyzer_.resolveLive(in);
         }
     }

@@ -12,10 +12,11 @@
  * stages are evaluated back-to-front each cycle so same-cycle structural
  * hazards resolve naturally.
  *
- * AVF accounting: every stage closes bit-residency intervals on the
- * instructions flowing through it (DynInstr::pending); classification is
- * deferred to the DeadCodeAnalyzer, while the cache/TLB observers write to
- * the ledger directly.
+ * AVF accounting: the stages stamp residency on the instructions flowing
+ * through them (dispatch, issue, FU-latch end, and when and how each left
+ * the pipeline); the DeadCodeAnalyzer derives and classifies the
+ * per-structure intervals from those stamps, while the cache/TLB
+ * observers write to the ledger directly.
  */
 
 #ifndef SMTAVF_CORE_SMT_CORE_HH
@@ -229,6 +230,16 @@ class SmtCore : public PolicyContext
 
     /** One thread's reorder buffer. */
     const Rob &rob(ThreadId tid) const { return threads_.at(tid)->rob; }
+
+    /**
+     * Invariant-test hook: stamp thread @p tid's (non-empty) ROB head as
+     * squashed while it stays in flight.
+     */
+    void
+    debugCutHeadResidency(ThreadId tid)
+    {
+        threads_.at(tid)->rob.front()->closeResidency(Residency::Cut, now_);
+    }
 
     /** One thread's load/store queue. */
     Lsq &lsq(ThreadId tid) { return threads_.at(tid)->lsq; }

@@ -3,9 +3,9 @@
  * The synthetic RISC ISA: operation classes, register-name helpers and the
  * dynamic instruction record (DynInstr) that flows through the pipeline.
  *
- * The workload generator emits DynInstr records with genuine register
- * dataflow, memory addresses and branch outcomes; the core model adds
- * renaming, timing and AVF bookkeeping in place.
+ * The workload generator emits InstrTemplate records with genuine register
+ * dataflow, memory addresses and branch outcomes; the core copies each
+ * into a DynInstr and adds renaming, timing and residency stamps in place.
  */
 
 #ifndef SMTAVF_ISA_INSTR_HH
@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "avf/structures.hh"
-#include "base/small_vec.hh"
 #include "base/types.hh"
 
 namespace smtavf
@@ -82,16 +81,60 @@ isZeroReg(RegIndex arch_reg)
 }
 
 /**
- * One closed residency interval of this instruction's bits in a hardware
- * structure, awaiting final ACE/un-ACE classification (deferred until the
- * producing instruction's dynamic deadness is known).
+ * The part of an instruction the workload generator decides: the fields
+ * StreamGenerator::generateOne()/makeWrongPath() fill in. The generator
+ * buffers these compact records (its checkpoint carries the same fields
+ * minus wrongPath, which buffered correct-path records never set), and
+ * InstrPool::create() turns one into a full DynInstr at fetch.
  */
-struct PendingInterval
+struct InstrTemplate
 {
-    HwStruct structure;
-    std::uint32_t bitCount;
-    Cycle start;
-    Cycle end;
+    /** Index in the correct-path stream; meaningless when wrongPath. */
+    std::uint64_t streamIdx = 0;
+    Addr pc = 0;
+    Addr memAddr = 0;
+    Addr branchTarget = 0; ///< actual target
+
+    // --- architectural operands -----------------------------------------
+    RegIndex destReg = invalidReg;
+    RegIndex srcReg1 = invalidReg;
+    RegIndex srcReg2 = invalidReg;
+
+    ThreadId tid = invalidThread;
+    OpClass op = OpClass::Nop;
+    std::uint8_t memSize = 0;
+    bool branchTaken = false; ///< actual outcome
+    bool wrongPath = false;   ///< fetched past a mispredicted branch
+
+    /** True for instructions that write a non-zero architectural register. */
+    bool
+    writesReg() const
+    {
+        return destReg != invalidReg && !isZeroReg(destReg);
+    }
+
+    /** True if this is a conditional or unconditional control transfer. */
+    bool isBranch() const { return isControl(op); }
+
+    /** True if this is a load or store. */
+    bool isMem() const { return isMemRef(op); }
+};
+
+static_assert(sizeof(InstrTemplate) <= 64,
+              "the generator buffers InstrTemplate by the thousand; keep it "
+              "within one cache line");
+
+/**
+ * How an instruction's pipeline residency ended. The core stamps it
+ * together with DynInstr::endCycle; DeadCodeAnalyzer derives the
+ * instruction's per-structure residency intervals from these stamps.
+ */
+enum class Residency : std::uint8_t
+{
+    Open,      ///< not yet dispatched, or still in flight
+    Committed, ///< retired at endCycle
+    Cut,       ///< squashed, or still in flight at end of run, at endCycle
+    Booked,    ///< intervals already forwarded to the ledger
 };
 
 struct DynInstr;
@@ -153,8 +196,8 @@ class InstPtr
 
 /**
  * Intrusive reference-count header of a DynInstr. Copying an instruction
- * record (e.g. from the generator's template) never copies ownership:
- * the copy starts unowned and poolless, and InstrPool::create fills both.
+ * record never copies ownership: the copy starts unowned and poolless,
+ * and InstrPool::create fills both.
  */
 struct InstrRef
 {
@@ -170,42 +213,31 @@ struct InstrRef
 void releaseInstr(DynInstr *in) noexcept;
 
 /**
- * A dynamic instruction. Plain aggregate by design: it is the working
- * record of the whole pipeline and every stage annotates it in place.
+ * A dynamic instruction: the generator's template plus everything the
+ * pipeline annotates in place. A plain record by design: it is the
+ * working record of the whole pipeline.
  */
-struct DynInstr
+struct DynInstr : InstrTemplate
 {
+    DynInstr() = default;
+
+    /** A fresh record for template @p t: every pipeline field default. */
+    DynInstr(const InstrTemplate &t) : InstrTemplate(t) {}
+
     // --- identity -------------------------------------------------------
-    ThreadId tid = invalidThread;
     /** Per-thread fetch order; monotonic across wrong-path fetches too. */
     SeqNum seq = 0;
     /** Global dispatch order (age for issue selection across threads). */
     SeqNum globalSeq = 0;
-    /** Index in the correct-path stream; meaningless when wrongPath. */
-    std::uint64_t streamIdx = 0;
-    Addr pc = 0;
-    OpClass op = OpClass::Nop;
-
-    // --- architectural operands -----------------------------------------
-    RegIndex destReg = invalidReg;
-    RegIndex srcReg1 = invalidReg;
-    RegIndex srcReg2 = invalidReg;
-
-    // --- memory behaviour -------------------------------------------------
-    Addr memAddr = 0;
-    std::uint8_t memSize = 0;
 
     // --- control behaviour ------------------------------------------------
-    bool branchTaken = false;     ///< actual outcome
-    Addr branchTarget = 0;        ///< actual target
-    bool predTaken = false;       ///< predictor's direction guess
-    bool mispredicted = false;    ///< set at fetch when prediction != actual
     std::uint32_t predHistory = 0; ///< gshare history the guess was made under
     std::uint32_t rasTop = 0;      ///< RAS checkpoint for squash recovery
     std::uint32_t rasDepth = 0;    ///< RAS checkpoint for squash recovery
+    bool predTaken = false;       ///< predictor's direction guess
+    bool mispredicted = false;    ///< set at fetch when prediction != actual
 
     // --- classification flags ---------------------------------------------
-    bool wrongPath = false;       ///< fetched past a mispredicted branch
     bool squashed = false;        ///< removed before commit
     bool destDead = false;        ///< result overwritten before any read
 
@@ -216,28 +248,27 @@ struct DynInstr
     RegIndex srcPhys2 = invalidReg;
 
     // --- pipeline state -----------------------------------------------------
-    bool inIq = false;
     /** Issue-queue slot while inIq (core/iq.hh). */
     std::uint16_t iqSlot = 0;
+    bool inIq = false;
     bool issued = false;
     bool completed = false;
+    /** DL1 outcome of this memory access (set at execute). */
+    bool dl1Miss = false;
+    /** L2 outcome of this memory access (set at execute). */
+    bool l2Miss = false;
+    /** How residency ended; set with endCycle (see Residency). */
+    Residency residency = Residency::Open;
     Cycle fetchCycle = 0;
     Cycle dispatchCycle = 0;
     Cycle issueCycle = 0;
     Cycle completeCycle = 0;
 
-    /** DL1 outcome of this memory access (set at execute). */
-    bool dl1Miss = false;
-    /** L2 outcome of this memory access (set at execute). */
-    bool l2Miss = false;
-
-    /**
-     * Residency intervals awaiting dead-code resolution. An instruction
-     * accrues at most five intervals (IQ and FU at issue; ROB, LSQ tag and
-     * LSQ data at commit or squash), so the inline capacity of six keeps
-     * the list inside the record and off the heap.
-     */
-    SmallVec<PendingInterval, 6> pending;
+    // --- residency stamps (AVF) ---------------------------------------------
+    /** Cycle residency ended: commit, squash or end of run. */
+    Cycle endCycle = 0;
+    /** End of the FU-latch occupancy; 0 unless it issued to a unit. */
+    Cycle fuEnd = 0;
 
     /**
      * Intrusive FIFO link of the core's completion wheel: the next
@@ -250,26 +281,25 @@ struct DynInstr
     /** Handle bookkeeping (see InstPtr); never copied. */
     InstrRef ref;
 
-    /** True for instructions that write a non-zero architectural register. */
-    bool
-    writesReg() const
-    {
-        return destReg != invalidReg && !isZeroReg(destReg);
-    }
-
-    /** True if this is a conditional or unconditional control transfer. */
-    bool isBranch() const { return isControl(op); }
-
-    /** True if this is a load or store. */
-    bool isMem() const { return isMemRef(op); }
-
     /** True if this instruction never contributes ACE bits. */
     bool
     neverAce() const
     {
         return wrongPath || squashed || op == OpClass::Nop;
     }
+
+    /** Stamp the end of this instruction's pipeline residency. */
+    void
+    closeResidency(Residency how, Cycle at)
+    {
+        residency = how;
+        endCycle = at;
+    }
 };
+
+static_assert(sizeof(DynInstr) <= 184,
+              "DynInstr is copied at every fetch and recycled millions of "
+              "times per run; growing it costs simulation speed");
 
 inline InstPtr::InstPtr(DynInstr *in) noexcept : p_(in)
 {

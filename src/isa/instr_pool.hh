@@ -10,9 +10,10 @@
  * the reference count lives in the record (DynInstr::ref, see InstPtr).
  *
  * Correctness notes:
- *  - create() copy-constructs the full DynInstr from the generator's
- *    template record, so every field of a recycled slot is overwritten —
- *    no state can leak from the previous occupant.
+ *  - create() builds the full DynInstr from the generator's template
+ *    record, with every pipeline field at its default, so every field of
+ *    a recycled slot is overwritten — no state can leak from the
+ *    previous occupant.
  *  - Every handle must drop before its pool dies. The core declares its
  *    pool ahead of every owner, so its own queues release first; a run's
  *    CommitTrace copies its records out at finalize() and holds no
@@ -51,9 +52,9 @@ class InstrPool
         }
     }
 
-    /** Materialise a pooled copy of @p proto. */
+    /** Materialise a pooled instruction from template @p proto. */
     InstPtr
-    create(const DynInstr &proto)
+    create(const InstrTemplate &proto)
     {
         void *mem = slabs_.allocate(sizeof(DynInstr), alignof(DynInstr));
         auto *in = new (mem) DynInstr(proto);

@@ -187,6 +187,19 @@ checkRob(const SmtCore &core, Cycle now)
                                         prev));
             prev = in->seq;
             first = false;
+
+            // Residency stamps: still open, in the IQ exactly until it
+            // issues, and an FU-latch end exactly when it issued to a unit.
+            const bool fu_op = fuTypeFor(in->op) != FuType::None;
+            if (in->residency != Residency::Open ||
+                in->inIq == in->issued ||
+                (in->fuEnd != 0) != (in->issued && fu_op))
+                violated(core, now, "rob.residency",
+                         detail::concat(
+                             "T", t, " seq ", in->seq, " in flight with ",
+                             "residency ", static_cast<int>(in->residency),
+                             " inIq=", in->inIq, " issued=", in->issued,
+                             " fuEnd=", in->fuEnd));
         }
     }
 }

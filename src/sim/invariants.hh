@@ -24,6 +24,10 @@
  *                          register of the correct bank
  *  - rob.order             per-thread program order (strictly increasing
  *                          seq) and occupancy <= capacity
+ *  - rob.residency         every ROB entry's residency is still open, it
+ *                          sits in the IQ exactly until it issues, and it
+ *                          has an FU-latch end exactly when it issued to
+ *                          a function unit
  *  - iq.occupancy          shared-queue occupancy <= capacity, entries in
  *                          global dispatch order, per-thread occupancy
  *                          counters consistent, partition bound respected

@@ -144,7 +144,7 @@ StreamGenerator::prewarmHints() const
     return h;
 }
 
-const DynInstr &
+const InstrTemplate &
 StreamGenerator::at(std::uint64_t idx)
 {
     if (idx < base_)
@@ -268,10 +268,10 @@ StreamGenerator::genDataAddress(std::uint8_t size)
     return addr & ~static_cast<Addr>(size - 1);
 }
 
-DynInstr
+InstrTemplate
 StreamGenerator::generateOne()
 {
-    DynInstr in;
+    InstrTemplate in;
     in.tid = tid_;
     in.streamIdx = base_ + buffer_.size();
     in.op = pickOpClass();
@@ -400,10 +400,10 @@ StreamGenerator::generateOne()
     return in;
 }
 
-DynInstr
+InstrTemplate
 StreamGenerator::makeWrongPath(Addr pc)
 {
-    DynInstr in;
+    InstrTemplate in;
     in.tid = tid_;
     in.wrongPath = true;
     in.pc = pc;

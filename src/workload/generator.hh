@@ -56,16 +56,16 @@ class StreamGenerator
 
     /**
      * Correct-path instruction at stream index @p idx (0-based program
-     * order). Generates on demand; the record is a template whose pipeline
-     * fields the core initializes on fetch.
+     * order). Generates on demand; the core builds its DynInstr from this
+     * template at fetch.
      */
-    const DynInstr &at(std::uint64_t idx);
+    const InstrTemplate &at(std::uint64_t idx);
 
     /** Drop buffered instructions below @p idx (they committed). */
     void retireBelow(std::uint64_t idx);
 
     /** Synthesize one wrong-path instruction at @p pc. */
-    DynInstr makeWrongPath(Addr pc);
+    InstrTemplate makeWrongPath(Addr pc);
 
     /** Wrap @p pc into this thread's code footprint (wrong-path fetch). */
     Addr clampToCode(Addr pc) const;
@@ -124,7 +124,7 @@ class StreamGenerator
         if constexpr (Ar::loading) {
             buffer_.clear();
             for (std::uint64_t i = 0; i < n; ++i) {
-                DynInstr in;
+                InstrTemplate in;
                 serializeTemplate(ar, in);
                 buffer_.push_back(in);
             }
@@ -183,14 +183,13 @@ class StreamGenerator
     };
 
     /**
-     * The subset of DynInstr that generateOne()/makeWrongPath() fill in —
-     * a buffered entry is a pristine template (the core copies it into the
-     * instruction pool at fetch), so the pipeline/rename fields are all
-     * still defaults and never travel.
+     * A buffered template's fields. wrongPath does not travel: buffered
+     * entries are correct-path by construction (makeWrongPath's records
+     * go straight to the core, never into the buffer).
      */
     template <class Ar>
     static void
-    serializeTemplate(Ar &ar, DynInstr &in)
+    serializeTemplate(Ar &ar, InstrTemplate &in)
     {
         ar(in.tid);
         ar(in.streamIdx);
@@ -208,7 +207,7 @@ class StreamGenerator
     /** Constructor body: everything derived from (profile, seed, sid). */
     void init();
 
-    DynInstr generateOne();
+    InstrTemplate generateOne();
     OpClass pickOpClass();
     RegIndex pickSrc(bool fp);
     RegIndex pickDest(bool fp);
@@ -223,7 +222,7 @@ class StreamGenerator
     Rng wrongRng_;
 
     /** Uncommitted window; ring reuse keeps generation allocation-free. */
-    RingBuffer<DynInstr> buffer_;
+    RingBuffer<InstrTemplate> buffer_;
     std::uint64_t base_ = 0; ///< stream index of buffer_.front()
 
     // cumulative op-class distribution, aligned with opOrder_

@@ -57,9 +57,9 @@ TEST(Generator, StreamIdReplaysAnotherContext)
 TEST(Generator, TemplatesAreStableAcrossRefetch)
 {
     StreamGenerator g(findProfile("bzip2"), 5, 0);
-    DynInstr first = g.at(123);
+    InstrTemplate first = g.at(123);
     g.at(500); // generate further
-    const DynInstr &again = g.at(123);
+    const InstrTemplate &again = g.at(123);
     EXPECT_EQ(first.op, again.op);
     EXPECT_EQ(first.memAddr, again.memAddr);
     EXPECT_EQ(first.streamIdx, again.streamIdx);

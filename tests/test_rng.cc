@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "base/rng.hh"
 
@@ -13,6 +14,23 @@ namespace smtavf
 {
 namespace
 {
+
+/**
+ * The rejection sampler Rng::uniform replaced: it computes the rejection
+ * threshold on every draw and never special-cases power-of-two bounds.
+ * Kept verbatim as the draw-for-draw reference for the faster version.
+ */
+std::uint64_t
+referenceUniform(Rng &r, std::uint64_t bound)
+{
+    if (bound == 0)
+        return 0;
+    std::uint64_t x = r.next();
+    std::uint64_t threshold = -bound % bound;
+    while (x < threshold)
+        x = r.next();
+    return x % bound;
+}
 
 TEST(Rng, SameSeedSameSequence)
 {
@@ -58,6 +76,36 @@ TEST(Rng, UniformZeroBoundIsZero)
 {
     Rng r(3);
     EXPECT_EQ(r.uniform(0), 0u);
+}
+
+TEST(Rng, UniformMatchesReferenceDrawForDraw)
+{
+    // Same values and same number of raw draws consumed, including the
+    // bounds whose rejection rate is near one half (2^63 + 1) and the
+    // power-of-two bounds that now skip the threshold entirely.
+    constexpr std::uint64_t two63 = std::uint64_t{1} << 63;
+    const std::uint64_t bounds[] = {0,
+                                    1,
+                                    2,
+                                    3,
+                                    7,
+                                    8,
+                                    31,
+                                    (std::uint64_t{1} << 32) - 1,
+                                    (std::uint64_t{1} << 32) + 1,
+                                    two63,
+                                    two63 + 1,
+                                    UINT64_MAX};
+    constexpr std::size_t numBounds = sizeof(bounds) / sizeof(bounds[0]);
+    for (std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
+        Rng fast(seed), ref(seed);
+        for (std::size_t i = 0; i < 1'200'000; ++i) {
+            std::uint64_t bound = bounds[i % numBounds];
+            ASSERT_EQ(fast.uniform(bound), referenceUniform(ref, bound))
+                << "seed " << seed << " draw " << i << " bound " << bound;
+        }
+        EXPECT_EQ(fast.next(), ref.next()) << "streams drifted apart";
+    }
 }
 
 TEST(Rng, UniformCoversRange)

@@ -745,6 +745,20 @@ TEST(Invariants, DetectsLateMshrDueCycle)
     expectViolation(sim, "mem.mshr_due");
 }
 
+TEST(Invariants, DetectsClosedResidencyInFlight)
+{
+    // Dead-code resolution derives every residency interval from the
+    // stamps; an instruction stamped closed while still in the ROB would
+    // have its intervals cut short and booked twice over.
+    auto exps = fourMixCampaign();
+    Simulator sim(exps[0].cfg, exps[0].mix);
+    ASSERT_TRUE(tickUntil(sim, [&] { return sim.core().rob(0).size() > 0; }));
+    ASSERT_NO_THROW(
+        checkInvariants(sim.core(), sim.ledger(), sim.core().now()));
+    sim.core().debugCutHeadResidency(0);
+    expectViolation(sim, "rob.residency");
+}
+
 TEST(Invariants, SimulatorPeriodicCheckCatchesCorruptionMidRun)
 {
     // Corrupt the machine, then let Simulator::run()'s periodic check
