@@ -2,26 +2,26 @@
  * @file
  * Campaign setup-throughput benchmark *and* worker-reuse gate: a
  * high-throughput AVF campaign is thousands of short runs, so the
- * per-run fixed cost — Simulator construction, teardown, and (in
- * process mode) a fork per run — bounds runs/second long before the
- * simulated work does. This benchmark times a 1000-short-run campaign
- * in the four configurations that matter:
+ * per-run fixed cost — Simulator construction or reset, teardown, and
+ * (in process mode) a fork per child — bounds runs/second long before
+ * the simulated work does. This benchmark times a 1000-short-run
+ * campaign in the three configurations that matter:
  *
- *   thread + fresh construction   (the pre-reuse baseline)
- *   thread + reused workers       (reset() instead of reconstruction)
- *   process + one child per run   (the pre-batching baseline)
- *   process + batched children    (--runs-per-child over one reused sim)
+ *   thread                        (reset() of the worker's simulator)
+ *   process, one child per run    (a batch of one: fork per run)
+ *   process, batched children     (--runs-per-child over one reused sim)
  *
  * and reports whole-campaign runs/second (items/s, real time — the pool
  * does the work off the main thread).
  *
  * Before any timing, main() asserts the contract the optimization rests
- * on and exits nonzero if it fails: a reused-worker campaign and a
- * batched-child campaign must journal byte-identical records to a
- * construct-per-run campaign (the same bar tests/test_reuse.cc holds in
- * CI; re-checked here so a benchmark number can never be quoted from a
- * binary that broke the equivalence). tools/bench.sh runs this binary
- * alongside bench_micro_sim and merges the reports into BENCH_micro.json.
+ * on and exits nonzero if it fails: a thread-mode campaign and a
+ * batched-child campaign must journal byte-identical records to a serial
+ * runExperiment() loop, which constructs a fresh Simulator per run (the
+ * same bar tests/test_reuse.cc holds in CI; re-checked here so a
+ * benchmark number can never be quoted from a binary that broke the
+ * equivalence). tools/bench.sh runs this binary alongside bench_micro_sim
+ * and merges the reports into BENCH_micro.json.
  */
 
 #include <benchmark/benchmark.h>
@@ -68,13 +68,11 @@ void
 BM_CampaignRuns(benchmark::State &state)
 {
     const bool process = state.range(0) != 0;
-    const bool reuse = state.range(1) != 0;
-    const auto rpc = static_cast<unsigned>(state.range(2));
+    const auto rpc = static_cast<unsigned>(state.range(1));
 
     auto exps = shortCampaign(kRuns);
     CampaignOptions opt;
     opt.isolate = process ? IsolateMode::Process : IsolateMode::Thread;
-    opt.reuseWorkers = reuse;
     opt.runsPerChild = rpc;
     CampaignRunner pool(kJobs);
 
@@ -89,15 +87,13 @@ BM_CampaignRuns(benchmark::State &state)
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(total));
     state.SetLabel(std::string(process ? "process" : "thread") +
-                   (reuse ? "/reused" : "/fresh") +
                    (rpc > 1 ? "/batch" + std::to_string(rpc) : ""));
 }
 // items/s == campaign runs per second (real time: pool workers run it).
 BENCHMARK(BM_CampaignRuns)
-    ->Args({0, 0, 1}) // thread, fresh construction per run
-    ->Args({0, 1, 1}) // thread, reused workers
-    ->Args({1, 0, 1}) // process, one child per run
-    ->Args({1, 1, kRunsPerChild}) // process, batched reused children
+    ->Args({0, 1})             // thread, reused workers
+    ->Args({1, 1})             // process, one child per run
+    ->Args({1, kRunsPerChild}) // process, batched reused children
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
@@ -114,34 +110,38 @@ journalRecords(const std::string &path)
     return recs;
 }
 
-/** The gate: reuse and batching must journal byte-identical records. */
+/** The gate: reused and batched campaigns journal the serial records. */
 int
 verifyReuseEquivalence()
 {
     auto exps = shortCampaign(96);
+
+    const char *serial_path = "bench_campaign_serial.journal";
+    std::remove(serial_path);
+    {
+        RunJournal serial(serial_path);
+        for (const Experiment &e : exps)
+            serial.append(experimentFingerprint(e), runExperiment(e));
+    }
+    const auto reference = journalRecords(serial_path);
+    std::remove(serial_path);
+
     struct Case
     {
         const char *name;
         const char *path;
         IsolateMode mode;
-        bool reuse;
         unsigned rpc;
     };
     const Case cases[] = {
-        {"fresh", "bench_campaign_fresh.journal", IsolateMode::Thread,
-         false, 1},
-        {"reused", "bench_campaign_reused.journal", IsolateMode::Thread,
-         true, 1},
+        {"reused", "bench_campaign_reused.journal", IsolateMode::Thread, 1},
         {"batched", "bench_campaign_batched.journal", IsolateMode::Process,
-         true, kRunsPerChild},
+         kRunsPerChild},
     };
-
-    std::vector<std::vector<std::string>> records;
     for (const Case &c : cases) {
         std::remove(c.path);
         CampaignOptions opt;
         opt.isolate = c.mode;
-        opt.reuseWorkers = c.reuse;
         opt.runsPerChild = c.rpc;
         opt.journalPath = c.path;
         CampaignRunner pool(kJobs);
@@ -151,20 +151,20 @@ verifyReuseEquivalence()
                          c.name);
             return 1;
         }
-        records.push_back(journalRecords(c.path));
+        const bool same = journalRecords(c.path) == reference;
         std::remove(c.path);
-    }
-
-    if (records[1] != records[0] || records[2] != records[0]) {
-        std::fprintf(stderr,
-                     "FAIL: reused/batched campaign journals are not "
-                     "byte-identical to fresh construction\n");
-        return 1;
+        if (!same) {
+            std::fprintf(stderr,
+                         "FAIL: %s campaign journal is not byte-identical "
+                         "to the serial reference\n",
+                         c.name);
+            return 1;
+        }
     }
     std::fprintf(stderr,
                  "worker-reuse gate: ok (%zu records identical across "
-                 "fresh, reused, and batched campaigns)\n",
-                 records[0].size());
+                 "serial, reused, and batched campaigns)\n",
+                 reference.size());
     return 0;
 }
 

@@ -22,13 +22,6 @@ Rob::push(const InstPtr &in)
     entries_.push_back(in);
 }
 
-const InstPtr &
-Rob::front() const
-{
-    static const InstPtr null_inst;
-    return entries_.empty() ? null_inst : entries_.front();
-}
-
 void
 Rob::popFront()
 {

@@ -30,7 +30,11 @@ class Rob
     void push(const InstPtr &in);
 
     /** Oldest entry, or nullptr when empty. */
-    const InstPtr &front() const;
+    const InstPtr &
+    front() const
+    {
+        return entries_.empty() ? nullInst_ : entries_.front();
+    }
 
     /** Retire the oldest entry. */
     void popFront();
@@ -58,6 +62,9 @@ class Rob
     void reset() { entries_.reset(); }
 
   private:
+    /** What front() returns for an empty ROB. */
+    static inline const InstPtr nullInst_{};
+
     std::uint32_t capacity_;
     /** Ring sized to capacity up front: no allocation after construction. */
     RingBuffer<InstPtr> entries_;

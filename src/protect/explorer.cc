@@ -510,12 +510,12 @@ ProtectionExplorer::exploreBeam(CampaignRunner &pool,
     copt.resume = opt.resume;
     copt.runFn = opt.runFn;
 
-    // Worker reuse (copt.reuseWorkers, on by default) is at its best
-    // here: protection assignments are excluded from the reset
-    // compatibility shape, so every candidate in a generation reset()s
-    // onto the same worker-local simulator instead of constructing a
-    // fresh one — the search's Simulator setup cost collapses to one
-    // construction per pool worker.
+    // Protection assignments are excluded from the reset compatibility
+    // shape, so every candidate — warmed by restoring the shared
+    // checkpoint or not — reset()s the idle simulator its pool worker
+    // kept from an earlier run, across generations too (the pool keeps
+    // them between runTolerant() calls). The search constructs one
+    // Simulator per pool worker.
 
     // Shared warmup: simulate the warmup prefix exactly once, up front,
     // and let every runTolerant() batch (baseline, each generation)

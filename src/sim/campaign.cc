@@ -166,23 +166,42 @@ CampaignRunner::forEach(std::size_t n,
 std::vector<SimResult>
 CampaignRunner::run(const std::vector<Experiment> &exps, ProgressFn progress)
 {
-    std::vector<SimResult> results(exps.size());
-    std::mutex progress_mutex;
-    std::size_t completed = 0;
-
-    forEach(exps.size(), [&](std::size_t i) {
-        auto t0 = std::chrono::steady_clock::now();
-        results[i] = runExperiment(exps[i]);
-        std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        if (progress) {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            CampaignProgress p{i,        exps.size(), ++completed,
-                               dt.count(), &exps[i],  &results[i]};
-            progress(p);
-        }
-    });
+    CampaignOptions opt;
+    opt.retries = 0;
+    CampaignReport report = runTolerant(*this, exps, opt, std::move(progress));
+    if (!report.allOk())
+        throw std::runtime_error(report.failureReport());
+    std::vector<SimResult> results;
+    results.reserve(exps.size());
+    for (RunOutcome &o : report.outcomes)
+        results.push_back(std::move(o.result));
     return results;
+}
+
+std::unique_ptr<Simulator>
+CampaignRunner::takeIdle(const MachineConfig &cfg, const WorkloadMix &mix)
+{
+    std::lock_guard<std::mutex> lock(idleMutex_);
+    if (idle_.empty())
+        return nullptr;
+    auto it = idle_.end() - 1;
+    for (auto jt = idle_.begin(); jt != idle_.end(); ++jt)
+        if ((*jt)->canResetTo(cfg, mix)) {
+            it = jt;
+            break;
+        }
+    auto sim = std::move(*it);
+    idle_.erase(it);
+    return sim;
+}
+
+void
+CampaignRunner::putIdle(std::unique_ptr<Simulator> sim)
+{
+    if (!sim)
+        return;
+    std::lock_guard<std::mutex> lock(idleMutex_);
+    idle_.push_back(std::move(sim));
 }
 
 std::vector<SimResult>
@@ -363,9 +382,11 @@ class ScopedLoggingThrows
  */
 struct WarmupGroup
 {
-    Checkpoint ck;     ///< thread mode: restored from memory
-    std::string path;  ///< process mode: the file forked children load
-    std::string error; ///< capture failed; members fail with this message
+    Checkpoint captured; ///< thread mode: this group's own capture
+    /** Thread mode: what members restore (captured, or the caller's). */
+    const Checkpoint *ck = nullptr;
+    std::string path;    ///< process mode: the file forked children load
+    std::string error;   ///< capture failed; members fail with this message
 };
 
 /** Per-group checkpoint file path ("" dir = TMPDIR or /tmp). */
@@ -385,43 +406,49 @@ warmupCheckpointPath(const std::string &dir, std::uint64_t key)
 }
 
 /**
- * Idle worker-local Simulators, shared by the pool's threads
- * (CampaignOptions::reuseWorkers). A worker takes a shape-compatible
- * instance, reset()s it for its run, and returns it on success; a run
- * that throws discards its instance instead, so no state from a broken
- * run can leak into a healthy one. Capacity is capped at the pool size
- * — more idle simulators than workers can never be in use at once.
+ * Make @p slot ready for a run of (@p cfg, @p mix): reset() the instance
+ * it holds when the timing shape allows, else construct a fresh one in
+ * its place. The one place a campaign gets a Simulator.
  */
-struct SlotPool
+Simulator &
+readySimulator(std::unique_ptr<Simulator> &slot, const MachineConfig &cfg,
+               const WorkloadMix &mix)
 {
-    std::mutex m;
-    std::vector<std::unique_ptr<Simulator>> idle;
-    std::size_t cap = 0;
+    if (slot && slot->canResetTo(cfg, mix))
+        slot->reset(cfg, mix);
+    else
+        slot = std::make_unique<Simulator>(cfg, mix);
+    return *slot;
+}
 
-    std::unique_ptr<Simulator>
-    acquire(const MachineConfig &cfg, const WorkloadMix &mix)
-    {
-        std::lock_guard<std::mutex> lock(m);
-        for (auto it = idle.begin(); it != idle.end(); ++it) {
-            if ((*it)->canResetTo(cfg, mix)) {
-                auto s = std::move(*it);
-                idle.erase(it);
-                return s;
-            }
-        }
-        return nullptr;
+/**
+ * Thread mode's exception boundary: run @p fn in-process and classify
+ * what it threw the way a child's report is classified, so both modes
+ * settle runs through one path.
+ */
+template <typename Fn>
+ChildOutcome
+runContained(Fn &&fn)
+{
+    ChildOutcome co;
+    try {
+        co.result = fn();
+        co.kind = ChildOutcome::Kind::Result;
+    } catch (const LivelockError &err) {
+        co.kind = ChildOutcome::Kind::Livelock;
+        co.message = err.what();
+    } catch (const CancelledError &err) {
+        co.kind = ChildOutcome::Kind::Cancelled;
+        co.message = err.what();
+    } catch (const std::exception &err) {
+        co.kind = ChildOutcome::Kind::Error;
+        co.message = err.what();
+    } catch (const SimError &err) {
+        co.kind = ChildOutcome::Kind::Error;
+        co.message = err.message;
     }
-
-    void
-    release(std::unique_ptr<Simulator> s)
-    {
-        if (!s)
-            return;
-        std::lock_guard<std::mutex> lock(m);
-        if (idle.size() < cap)
-            idle.push_back(std::move(s));
-    }
-};
+    return co;
+}
 
 } // namespace
 
@@ -500,33 +527,32 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
             WarmupGroup &g = warmups.at(key);
             const Experiment &e = exps[first.at(key)];
             try {
-                if (opt.warmupCheckpoint &&
-                    opt.warmupCheckpoint->configFingerprint == key) {
-                    // Caller already simulated this exact warmup.
-                    if (opt.isolate == IsolateMode::Process) {
-                        g.path = warmupCheckpointPath(opt.checkpointDir, key);
-                        saveCheckpointFile(*opt.warmupCheckpoint, g.path);
-                    } else {
-                        g.ck = *opt.warmupCheckpoint;
+                const Checkpoint *ck = opt.warmupCheckpoint;
+                if (!ck || ck->configFingerprint != key) {
+                    if (expired())
+                        throw std::runtime_error(
+                            "warmup not captured: campaign cancelled or "
+                            "past its soft timeout");
+                    MachineConfig cfg = e.cfg;
+                    if (opt.isolate == IsolateMode::Thread && opt.cancel &&
+                        opt.cancelCheckCycles > 0) {
+                        cfg.cancel = opt.cancel;
+                        cfg.cancelCheckCycles = opt.cancelCheckCycles;
                     }
-                    return;
+                    std::unique_ptr<Simulator> slot =
+                        pool.takeIdle(cfg, e.mix);
+                    g.captured = readySimulator(slot, cfg, e.mix)
+                                     .captureWarmupCheckpoint(e.warmup);
+                    pool.putIdle(std::move(slot));
+                    ck = &g.captured;
                 }
-                if (expired())
-                    throw std::runtime_error(
-                        "warmup not captured: campaign cancelled or past "
-                        "its soft timeout");
-                MachineConfig cfg = e.cfg;
-                if (opt.isolate == IsolateMode::Thread && opt.cancel &&
-                    opt.cancelCheckCycles > 0) {
-                    cfg.cancel = opt.cancel;
-                    cfg.cancelCheckCycles = opt.cancelCheckCycles;
-                }
-                Simulator sim(cfg, e.mix);
-                g.ck = sim.captureWarmupCheckpoint(e.warmup);
                 if (opt.isolate == IsolateMode::Process) {
+                    // Children read the file, not the parent's memory.
                     g.path = warmupCheckpointPath(opt.checkpointDir, key);
-                    saveCheckpointFile(g.ck, g.path);
-                    g.ck = Checkpoint{}; // children read the file
+                    saveCheckpointFile(*ck, g.path);
+                    g.captured = Checkpoint{};
+                } else {
+                    g.ck = ck;
                 }
             } catch (const std::exception &err) {
                 g.error = err.what();
@@ -536,51 +562,38 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
         });
     }
 
-    // Core of one run. When @p slot is non-null the worker owns a
-    // reusable Simulator slot: a shape-compatible instance is reset() in
-    // place instead of reconstructed, which is where the campaign
-    // throughput win lives (docs/PERFORMANCE.md). A run that throws
-    // discards the slot's instance — a half-run simulator must never
-    // carry state into the next run. Shared-warmup restores and runFn
-    // seams bypass the slot (they construct per-run state anyway).
+    // Core of one run, in a pool worker (thread mode) or a forked child
+    // (process mode). @p slot is the executor's idle simulator, made
+    // ready by readySimulator(); a run that throws discards it — a
+    // half-run simulator must never carry state into the next run.
     auto run_one = [&](const Experiment &e, std::size_t i,
-                       std::unique_ptr<Simulator> *slot) -> SimResult {
+                       std::unique_ptr<Simulator> &slot) -> SimResult {
         if (opt.runFn)
             return opt.runFn(e, i);
+        const WarmupGroup *g = nullptr;
         if (share && e.warmup > 0) {
-            auto it = warmups.find(
+            g = &warmups.at(
                 checkpointFingerprint(e.cfg, e.mix, e.warmup, true));
-            if (it != warmups.end()) {
-                const WarmupGroup &g = it->second;
-                if (!g.error.empty())
-                    throw std::runtime_error("shared warmup capture failed: "
-                                             + g.error);
-                std::uint64_t budget =
-                    e.budget ? e.budget : defaultBudget(e.mix.contexts);
-                Simulator sim(e.cfg, e.mix);
-                if (!g.path.empty())
-                    sim.restore(loadCheckpointFile(g.path));
-                else
-                    sim.restore(g.ck);
-                return sim.run(budget);
-            }
+            if (!g->error.empty())
+                throw std::runtime_error("shared warmup capture failed: " +
+                                         g->error);
         }
-        if (slot && opt.reuseWorkers && e.warmup == 0) {
-            std::uint64_t budget =
-                e.budget ? e.budget : defaultBudget(e.mix.contexts);
-            auto &s = *slot;
-            if (s && s->canResetTo(e.cfg, e.mix))
-                s->reset(e.cfg, e.mix);
+        const std::uint64_t budget =
+            e.budget ? e.budget : defaultBudget(e.mix.contexts);
+        try {
+            Simulator &sim = readySimulator(slot, e.cfg, e.mix);
+            RunControls rc;
+            if (!g)
+                rc.warmup = e.warmup;
+            else if (g->ck)
+                sim.restore(*g->ck);
             else
-                s = std::make_unique<Simulator>(e.cfg, e.mix);
-            try {
-                return s->run(budget);
-            } catch (...) {
-                s.reset();
-                throw;
-            }
+                sim.restore(loadCheckpointFile(g->path));
+            return sim.run(budget, rc);
+        } catch (...) {
+            slot.reset();
+            throw;
         }
-        return runExperiment(e);
     };
 
     std::mutex progress_mutex;
@@ -601,10 +614,11 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
         progress(p);
     };
 
-    // Apply one child/thread outcome to run i's record. Returns true when
-    // the run is settled; false leaves the retryable failure in @p msg.
-    auto applyChild = [&](ChildOutcome &&co, std::size_t i, RunOutcome &out,
-                          std::string &msg) -> bool {
+    // Apply one attempt's outcome to run i's record. Returns true when
+    // the run is settled, false when it should be attempted again.
+    auto settle = [&](ChildOutcome &&co, std::size_t i,
+                      std::string &prev_error) -> bool {
+        RunOutcome &out = report.outcomes[i];
         switch (co.kind) {
         case ChildOutcome::Kind::Result:
             out.result = std::move(co.result);
@@ -615,8 +629,8 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
             return true;
         case ChildOutcome::Kind::Livelock:
         case ChildOutcome::Kind::Cancelled:
-            // Deterministic (livelock) or deliberate (cancel): never
-            // retried, like thread mode.
+            // Deterministic (livelock: the same seed spins through the
+            // same window) or deliberate (cancel): never retried.
             out.status = RunStatus::TimedOut;
             out.error = std::move(co.message);
             return true;
@@ -630,144 +644,85 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
                 out.error = std::move(co.message);
                 return true;
             }
-            msg = std::move(co.message);
-            return false;
+            break;
         case ChildOutcome::Kind::Error:
-            msg = std::move(co.message);
-            return false;
+            break;
+        }
+        out.error = std::move(co.message);
+        if (!prev_error.empty() && out.error == prev_error) {
+            // Same seed, same failure, twice: a deterministic bug, not
+            // transient flakiness.
+            out.status = RunStatus::Quarantined;
+            return true;
+        }
+        prev_error = out.error;
+        if (out.attempts > opt.retries || expired()) {
+            out.status = RunStatus::Failed;
+            return true;
         }
         return false;
     };
 
-    // Shared retry policy: returns true when the run should be attempted
-    // again, false once it has been settled as Quarantined or Failed.
-    auto retryable = [&](RunOutcome &out, std::string &prev_error,
-                         const std::string &msg) -> bool {
-        out.error = msg;
-        if (!prev_error.empty() && msg == prev_error) {
-            // Same seed, same failure, twice: a deterministic bug, not
-            // transient flakiness.
-            out.status = RunStatus::Quarantined;
-            return false;
+    // Execute runs in order on one executor and report each as a
+    // ChildBatchOutcome. Process mode forks one sandboxed child for
+    // them all (runBatchInChild), which builds its simulator lazily and
+    // reuses it across the batch. Thread mode runs them on this worker
+    // with an idle simulator from the pool, returned after a healthy run.
+    auto execute = [&](const std::vector<std::size_t> &runs) {
+        if (opt.isolate == IsolateMode::Process) {
+            ChildLimits lim;
+            // The supervisor scales the wall deadline by the batch size;
+            // RLIMIT_CPU has no per-run re-arm, so scale it here.
+            lim.hardTimeoutSeconds = opt.hardTimeoutSeconds;
+            lim.cpuSeconds = opt.childCpuSeconds * runs.size();
+            lim.memoryBytes = opt.childMemoryBytes;
+            lim.cancel = opt.cancel;
+            // The slot lives in the child after fork(); the parent never
+            // constructs the simulator. shared_ptr keeps the lambda
+            // copyable for std::function.
+            auto child_slot = std::make_shared<std::unique_ptr<Simulator>>();
+            return runBatchInChild(
+                runs.size(),
+                [&, child_slot](std::size_t k) {
+                    return run_one(exps[runs[k]], runs[k], *child_slot);
+                },
+                lim);
         }
-        prev_error = msg;
-        if (out.attempts > opt.retries || expired()) {
-            out.status = RunStatus::Failed;
-            return false;
-        }
-        return true;
-    };
-
-    SlotPool slots;
-    slots.cap = pool.jobs();
-
-    auto run_single = [&](std::size_t i) {
-        auto t0 = std::chrono::steady_clock::now();
-        RunOutcome &out = report.outcomes[i];
-
-        // Thread-mode cancel poll: wire the campaign's flag into this
-        // run's config so Simulator::run() can unwind mid-budget. Both
-        // knobs are fingerprint-excluded, so journal keys are unchanged.
-        // (Process mode skips this: the child's copy of the flag never
-        // flips; the supervisor's SIGKILL handles cancellation there.)
-        const Experiment *exp = &exps[i];
-        Experiment wired;
-        if (opt.isolate == IsolateMode::Thread && opt.cancel &&
-            opt.cancelCheckCycles > 0) {
-            wired = exps[i];
-            wired.cfg.cancel = opt.cancel;
-            wired.cfg.cancelCheckCycles = opt.cancelCheckCycles;
-            exp = &wired;
-        }
-
-        if (auto it = replay.find(fps[i]); it != replay.end()) {
-            out.status = RunStatus::Ok;
-            out.result = it->second;
-            out.fromJournal = true;
-        } else if (expired()) {
-            out.status = RunStatus::TimedOut;
-            out.error = "not started: campaign cancelled or past its "
-                        "soft timeout";
-        } else {
-            std::string prev_error;
-            for (;;) {
-                ++out.attempts;
-                if (out.attempts > 1 && opt.backoffSeconds > 0.0)
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(retryBackoffSeconds(
-                            out.attempts - 1, out.seed,
-                            opt.backoffSeconds)));
-                out.crash = CrashKind::None;
-                std::string msg;
-                bool settled = false;
-                if (opt.isolate == IsolateMode::Process) {
-                    ChildLimits lim;
-                    lim.hardTimeoutSeconds = opt.hardTimeoutSeconds;
-                    lim.cpuSeconds = opt.childCpuSeconds;
-                    lim.memoryBytes = opt.childMemoryBytes;
-                    lim.cancel = opt.cancel;
-                    ChildOutcome co = runInChild(
-                        [&] { return run_one(*exp, i, nullptr); }, lim);
-                    settled = applyChild(std::move(co), i, out, msg);
-                } else {
-                    // Take a shape-compatible idle simulator if one
-                    // exists; return it only when the run succeeds.
-                    std::unique_ptr<Simulator> slot;
-                    const bool use_slot = opt.reuseWorkers && !opt.runFn &&
-                                          exp->warmup == 0;
-                    if (use_slot)
-                        slot = slots.acquire(exp->cfg, exp->mix);
-                    try {
-                        out.result =
-                            run_one(*exp, i, use_slot ? &slot : nullptr);
-                        out.status = RunStatus::Ok;
-                        out.error.clear();
-                        if (journal)
-                            journal->append(fps[i], out.result);
-                        settled = true;
-                        if (use_slot)
-                            slots.release(std::move(slot));
-                    } catch (const LivelockError &err) {
-                        // Deterministic by construction: the same seed
-                        // spins through the same window. Never retried.
-                        out.status = RunStatus::TimedOut;
-                        out.error = err.what();
-                        settled = true;
-                    } catch (const CancelledError &err) {
-                        // The run was healthy; the campaign was asked to
-                        // stop. Timed out, never retried.
-                        out.status = RunStatus::TimedOut;
-                        out.error = err.what();
-                        settled = true;
-                    } catch (const std::exception &err) {
-                        msg = err.what();
-                    } catch (const SimError &err) {
-                        msg = err.message;
-                    }
-                }
-                if (settled)
-                    break;
-                if (!retryable(out, prev_error, msg))
-                    break;
+        ChildBatchOutcome bo;
+        bo.reported.assign(runs.size(), 1);
+        for (std::size_t i : runs) {
+            // Thread-mode cancel poll: wire the campaign's flag into this
+            // run's config so Simulator::run() can unwind mid-budget.
+            // Both knobs are fingerprint-excluded, so journal keys are
+            // unchanged. (Process mode skips this: the child's copy of
+            // the flag never flips; the supervisor's SIGKILL handles
+            // cancellation there.)
+            const Experiment *exp = &exps[i];
+            Experiment wired;
+            if (opt.cancel && opt.cancelCheckCycles > 0) {
+                wired = exps[i];
+                wired.cfg.cancel = opt.cancel;
+                wired.cfg.cancelCheckCycles = opt.cancelCheckCycles;
+                exp = &wired;
             }
+            std::unique_ptr<Simulator> slot =
+                opt.runFn ? nullptr : pool.takeIdle(exp->cfg, exp->mix);
+            bo.runs.push_back(
+                runContained([&] { return run_one(*exp, i, slot); }));
+            pool.putIdle(std::move(slot));
         }
-
-        std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        notify(i, dt.count());
+        return bo;
     };
 
-    // Batched process isolation: consecutive submission-order slices of
-    // runsPerChild runs share ONE forked child, which builds a single
-    // worker-local Simulator lazily and reuses it across the batch over
-    // the framed pipe protocol (runBatchInChild). A crash settles or
-    // retries only the run it is attributed to; completed frames survive,
-    // and the unstarted remainder is re-dispatched in a fresh child
-    // without being charged an attempt.
-    auto run_batch = [&](const std::vector<std::size_t> &members) {
+    // Dispatch consecutive submission-order runs to one executor: a
+    // batch of runsPerChild in process mode, one run in thread mode. A
+    // death settles or retries only the run it is attributed to;
+    // completed runs survive it, and the unstarted remainder is
+    // re-dispatched without being charged an attempt.
+    auto run_batch = [&](std::size_t begin, std::size_t end) {
         std::vector<std::size_t> pending;
-        std::unordered_map<std::size_t, std::string> prev_errors;
-        for (std::size_t i : members) {
+        std::vector<std::string> prev_errors(end - begin);
+        for (std::size_t i = begin; i < end; ++i) {
             RunOutcome &out = report.outcomes[i];
             if (auto it = replay.find(fps[i]); it != replay.end()) {
                 out.status = RunStatus::Ok;
@@ -795,8 +750,8 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
                 break;
             }
 
-            // Back off before a retry child, keyed to the head retried
-            // run so replays of the campaign sleep identically.
+            // Back off before a retry, keyed to the head retried run so
+            // replays of the campaign sleep identically.
             {
                 const RunOutcome &head = report.outcomes[pending.front()];
                 if (head.attempts > 0 && opt.backoffSeconds > 0.0)
@@ -805,42 +760,21 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
                             head.attempts, head.seed, opt.backoffSeconds)));
             }
 
-            ChildLimits lim;
-            // The supervisor scales the wall deadline by the batch size;
-            // RLIMIT_CPU has no per-run re-arm, so scale it here.
-            lim.hardTimeoutSeconds = opt.hardTimeoutSeconds;
-            lim.cpuSeconds = opt.childCpuSeconds
-                                 ? opt.childCpuSeconds * pending.size()
-                                 : 0;
-            lim.memoryBytes = opt.childMemoryBytes;
-            lim.cancel = opt.cancel;
-
             auto t0 = std::chrono::steady_clock::now();
-            const std::vector<std::size_t> snapshot = pending;
-            // The slot lives in the child after fork(); the parent never
-            // constructs the simulator. shared_ptr keeps the lambda
-            // copyable for std::function.
-            auto child_slot =
-                std::make_shared<std::unique_ptr<Simulator>>();
-            ChildBatchOutcome bo = runBatchInChild(
-                snapshot.size(),
-                [&, child_slot](std::size_t k) {
-                    return run_one(exps[snapshot[k]], snapshot[k],
-                                   child_slot.get());
-                },
-                lim);
+            ChildBatchOutcome bo = execute(pending);
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - t0;
 
-            // Attribute a death to the in-flight run; a child that died
-            // without a started-but-unframed run (fork failure, death
-            // between runs) charges the first unreported run so every
-            // dispatch makes progress toward the retry bound.
+            // Attribute a death to the in-flight run. A child that died
+            // without one (fork failure, death between runs) charges the
+            // first unreported run so every dispatch makes progress toward
+            // the retry bound — unless the supervisor killed it on
+            // cancellation, which leaves unstarted runs unstarted.
             std::size_t attributed = ChildBatchOutcome::npos;
-            if (bo.childDied && !bo.cancelled) {
+            if (bo.childDied) {
                 attributed = bo.inFlight;
-                if (attributed == ChildBatchOutcome::npos)
-                    for (std::size_t k = 0; k < snapshot.size(); ++k)
+                if (attributed == ChildBatchOutcome::npos && !bo.cancelled)
+                    for (std::size_t k = 0; k < pending.size(); ++k)
                         if (!bo.reported[k]) {
                             attributed = k;
                             break;
@@ -848,15 +782,15 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
             }
 
             std::size_t processed = 0;
-            for (std::size_t k = 0; k < snapshot.size(); ++k)
+            for (std::size_t k = 0; k < pending.size(); ++k)
                 if (bo.reported[k] || k == attributed)
                     ++processed;
-            const double share =
+            const double seconds =
                 dt.count() / static_cast<double>(processed ? processed : 1);
 
             std::vector<std::size_t> next;
-            for (std::size_t k = 0; k < snapshot.size(); ++k) {
-                const std::size_t i = snapshot[k];
+            for (std::size_t k = 0; k < pending.size(); ++k) {
+                const std::size_t i = pending[k];
                 RunOutcome &out = report.outcomes[i];
                 if (!bo.reported[k] && k != attributed) {
                     // Unstarted (or torn past the crash point): not an
@@ -871,37 +805,25 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
                 if (bo.reported[k]) {
                     co = std::move(bo.runs[k]);
                 } else {
-                    co.kind = ChildOutcome::Kind::Crash;
+                    co.kind = bo.cancelled ? ChildOutcome::Kind::Cancelled
+                                           : ChildOutcome::Kind::Crash;
                     co.crash = bo.crash;
                     co.message = bo.crashMessage;
                 }
-                std::string msg;
-                if (applyChild(std::move(co), i, out, msg)) {
-                    notify(i, share);
-                } else if (!retryable(out, prev_errors[i], msg)) {
-                    notify(i, share);
-                } else {
+                if (settle(std::move(co), i, prev_errors[i - begin]))
+                    notify(i, seconds);
+                else
                     next.push_back(i);
-                }
             }
             pending = std::move(next);
         }
     };
 
-    if (opt.isolate == IsolateMode::Process && opt.runsPerChild > 1) {
-        std::vector<std::vector<std::size_t>> batches;
-        for (std::size_t i = 0; i < exps.size(); i += opt.runsPerChild) {
-            std::vector<std::size_t> b;
-            for (std::size_t j = i;
-                 j < exps.size() && j < i + opt.runsPerChild; ++j)
-                b.push_back(j);
-            batches.push_back(std::move(b));
-        }
-        pool.forEach(batches.size(),
-                     [&](std::size_t bi) { run_batch(batches[bi]); });
-    } else {
-        pool.forEach(exps.size(), [&](std::size_t i) { run_single(i); });
-    }
+    const std::size_t per =
+        opt.isolate == IsolateMode::Process ? opt.runsPerChild : 1;
+    pool.forEach((exps.size() + per - 1) / per, [&](std::size_t b) {
+        run_batch(b * per, std::min(exps.size(), (b + 1) * per));
+    });
 
     for (const auto &kv : warmups)
         if (!kv.second.path.empty())

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -38,6 +39,8 @@
 
 namespace smtavf
 {
+
+class Simulator;
 
 /** One unit of a campaign: everything runMix() needs, plus a label. */
 struct Experiment
@@ -91,11 +94,17 @@ struct CampaignProgress
     std::size_t index;     ///< submission-order index of the run
     std::size_t total;     ///< campaign size
     std::size_t completed; ///< runs finished so far, this one included
-    double seconds;        ///< wall-clock time of this run
+    /**
+     * Wall-clock time of the dispatch that settled this run, split
+     * evenly over the runs that dispatch settled (a batched child runs
+     * several). Earlier failed attempts and retry backoff are not
+     * included, so a retried run reports its last attempt only. 0 for
+     * journal replays and runs that never started.
+     */
+    double seconds;
     const Experiment *experiment;
     const SimResult *result;   ///< null when the run did not produce one
-    /** Full outcome; only set by runTolerant() campaigns. */
-    const RunOutcome *outcome = nullptr;
+    const RunOutcome *outcome; ///< full outcome, always set
 };
 
 /**
@@ -106,6 +115,11 @@ struct CampaignProgress
  * unset, hardware_concurrency(). Results are collected in submission
  * order and are bit-identical for every pool size because each run's
  * randomness comes only from its own descriptor.
+ *
+ * The pool also keeps the idle Simulators its workers ran last, across
+ * campaigns: a thread-mode run takes one and reset()s it when the shape
+ * allows (Simulator::canResetTo), so a sequence of campaigns over one
+ * shape — a whole beam search — constructs only when the shape changes.
  */
 class CampaignRunner
 {
@@ -126,9 +140,11 @@ class CampaignRunner
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Run a campaign; results in submission order, bit-identical to a
-     * serial runExperiment() loop over the same descriptors. The
-     * optional progress callback fires once per finished run (from
+     * Run a campaign: runTolerant() with no retries and no journal.
+     * Results come back in submission order, bit-identical to a serial
+     * runExperiment() loop over the same descriptors; a run that fails
+     * makes this throw std::runtime_error carrying the failure report.
+     * The optional progress callback fires once per finished run (from
      * worker threads, serialized by the pool).
      */
     std::vector<SimResult> run(const std::vector<Experiment> &exps,
@@ -142,10 +158,25 @@ class CampaignRunner
      */
     void forEach(std::size_t n, const std::function<void(std::size_t)> &fn);
 
+    /**
+     * Take an idle Simulator for a run of (@p cfg, @p mix): one that
+     * canResetTo() them if the pool has it, else any idle one (which the
+     * caller replaces by constructing), else nullptr.
+     */
+    std::unique_ptr<Simulator> takeIdle(const MachineConfig &cfg,
+                                        const WorkloadMix &mix);
+
+    /** Return a simulator after a healthy run (null is ignored). */
+    void putIdle(std::unique_ptr<Simulator> sim);
+
   private:
     struct Batch;
 
     void workerLoop();
+
+    std::mutex idleMutex_;
+    /** At most one per worker: each worker holds one at a time. */
+    std::vector<std::unique_ptr<Simulator>> idle_; ///< guarded by idleMutex_
 
     unsigned jobs_;
     std::vector<std::thread> workers_;
@@ -241,34 +272,28 @@ struct CampaignOptions
     const std::atomic<bool> *cancel = nullptr;
     /**
      * Where each run executes. Thread (default) runs in-process on the
-     * pool; Process forks a sandboxed child per run (sim/isolate.hh) so
+     * pool; Process forks sandboxed children (sim/isolate.hh) so
      * crashes, runaway allocations and wedged runs are contained and
      * classified instead of taking the campaign down. Healthy results are
      * bit-identical across modes (hexfloat wire format).
+     *
+     * Either way a run gets its Simulator one way: its worker's idle
+     * instance reset() when the timing shape matches
+     * (Simulator::canResetTo), else a fresh construction. reset() is
+     * bit-identical to construction (tests/test_reuse.cc), and a run
+     * that fails discards its instance, so no state crosses from a
+     * broken run into a healthy one.
      */
     IsolateMode isolate = IsolateMode::Thread;
     /**
-     * Reuse worker-local Simulators across runs whose timing shape
-     * matches (Simulator::canResetTo): instead of constructing and
-     * destroying one Simulator per run, each worker resets one in place
-     * — allocation-free — and pays construction once. Applies to
-     * warmup-free runs in thread mode and inside batched children
-     * (@ref runsPerChild); results are bit-identical either way
-     * (reset() ≡ fresh construction, tests/test_campaign.cc proves it
-     * differentially). A run that fails discards its worker's instance,
-     * so no state crosses from a broken run into a healthy one.
-     */
-    bool reuseWorkers = true;
-    /**
      * Process mode: dispatch this many consecutive runs per forked
      * child over the framed `run v3` pipe protocol, amortizing the
-     * fork + construction cost while keeping the sandbox. Each run's
-     * result frames out as it completes, so runs finished before a
-     * crash survive it; a death is attributed to the in-flight run and
-     * only that run plus the unstarted remainder re-dispatch. The
-     * hard-timeout and CPU budgets scale with the batch size. 1 (the
-     * default) is the historical child-per-run behaviour; values > 1
-     * require process isolation.
+     * fork + construction cost while keeping the sandbox; 1 (the
+     * default) is a batch of one. Each run's result frames out as it
+     * completes, so runs finished before a crash survive it; a death is
+     * attributed to the in-flight run and only that run plus the
+     * unstarted remainder re-dispatch. The hard-timeout and CPU budgets
+     * scale with the batch size. Values > 1 require process isolation.
      */
     unsigned runsPerChild = 1;
     /**
@@ -372,10 +397,12 @@ std::string campaignCsv(const std::vector<Experiment> &exps,
  * exception boundary (fatal/panic are redirected to exceptions for the
  * campaign's duration); a failure is retried, quarantined or timed out
  * per RunStatus, and the campaign always completes with one RunOutcome
- * per experiment. Ok results are bit-identical to a plain run() of the
- * same descriptors — the tolerant machinery never perturbs a healthy
- * simulation — and journal replay preserves that equality exactly
- * (tests/test_robustness.cc proves both differentially).
+ * per experiment. Ok results are bit-identical to a serial
+ * runExperiment() loop over the same descriptors — the tolerant machinery
+ * never perturbs a healthy simulation — and journal replay preserves that
+ * equality exactly (tests/test_robustness.cc proves both differentially).
+ * This is the only campaign engine: CampaignRunner::run() is this with no
+ * retries and no journal.
  */
 CampaignReport runTolerant(CampaignRunner &pool,
                            const std::vector<Experiment> &exps,

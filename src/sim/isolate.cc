@@ -119,7 +119,7 @@ sandboxChild(const ChildLimits &limits)
 
 /**
  * Execute one run behind the child's exception boundary and encode the
- * result as a (tag, payload) pair — the unit both wire formats ship.
+ * result as a (tag, payload) pair — the unit each frame ships.
  * Tag "ok" carries a `run v3` journal record (hexfloat-exact + CRC);
  * every other tag carries the failure message.
  */
@@ -181,31 +181,14 @@ decodeTagged(const std::string &tag, std::string &&payload)
 }
 
 /**
- * Child-side main: sandbox, run, report, _exit. Never returns and never
- * lets an exception escape — a throw out of here would unwind into the
- * forked copy of the parent's stack. The report travels as
- * `<tag>\n<payload>`.
- */
-[[noreturn]] void
-childMain(const std::function<SimResult()> &fn, const ChildLimits &limits,
-          int fd)
-{
-    sandboxChild(limits);
-    auto [tag, payload] = runOneTagged(fn);
-    writeAll(fd, tag + "\n" + payload);
-    ::close(fd);
-    // _exit, not exit: the child must not run the parent's atexit
-    // handlers or flush duplicated stdio buffers.
-    ::_exit(0);
-}
-
-/**
- * Batched child main: the framed `run v3`-over-pipe protocol. Before
- * each run the child announces `start <k>\n` — the breadcrumb the
- * supervisor uses to attribute a death — and after it writes a
+ * Child-side main: sandbox, then the framed `run v3`-over-pipe protocol.
+ * Before each run the child announces `start <k>\n` — the breadcrumb
+ * the supervisor uses to attribute a death — and after it writes a
  * self-delimiting `<tag> <k> <len>\n<payload>` frame. Frames land on
  * the pipe as runs complete, so everything finished before a crash is
- * already with the supervisor.
+ * already with the supervisor. Never returns and never lets an
+ * exception escape — a throw out of here would unwind into the forked
+ * copy of the parent's stack.
  */
 [[noreturn]] void
 childBatchMain(std::size_t n, const std::function<SimResult(std::size_t)> &fn,
@@ -224,6 +207,8 @@ childBatchMain(std::size_t n, const std::function<SimResult(std::size_t)> &fn,
         writeAll(fd, head + payload);
     }
     ::close(fd);
+    // _exit, not exit: the child must not run the parent's atexit
+    // handlers or flush duplicated stdio buffers.
     ::_exit(0);
 }
 
@@ -238,8 +223,7 @@ struct Supervised
 
 /**
  * Drain the child's pipe until EOF, enforcing the wall-clock deadline
- * and the cancel flag with SIGKILL, then reap. Shared by the single-run
- * and batched supervisors.
+ * and the cancel flag with SIGKILL, then reap.
  */
 Supervised
 superviseChild(pid_t pid, int rfd, const ChildLimits &limits,
@@ -393,57 +377,6 @@ describeChildDeath(int wait_status, bool supervisor_killed)
         break;
     }
     return os.str();
-}
-
-ChildOutcome
-runInChild(const std::function<SimResult()> &fn, const ChildLimits &limits)
-{
-    ChildOutcome out;
-
-    int fds[2];
-    if (::pipe(fds) != 0) {
-        out.kind = ChildOutcome::Kind::Error;
-        out.message = "pipe() failed for isolated child";
-        return out;
-    }
-
-    pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        out.kind = ChildOutcome::Kind::Error;
-        out.message = "fork() failed for isolated child";
-        return out;
-    }
-    if (pid == 0) {
-        ::close(fds[0]);
-        childMain(fn, limits, fds[1]); // never returns
-    }
-    ::close(fds[1]);
-    registerChild(pid);
-
-    Supervised sup =
-        superviseChild(pid, fds[0], limits, limits.hardTimeoutSeconds);
-
-    if (WIFEXITED(sup.status) && WEXITSTATUS(sup.status) == 0 &&
-        !sup.buf.empty()) {
-        auto nl = sup.buf.find('\n');
-        std::string tag = sup.buf.substr(0, nl);
-        std::string payload = nl == std::string::npos
-                                  ? std::string()
-                                  : sup.buf.substr(nl + 1);
-        return decodeTagged(tag, std::move(payload));
-    }
-
-    if (sup.cancelKilled) {
-        out.kind = ChildOutcome::Kind::Cancelled;
-        out.message = "child killed by supervisor: campaign cancelled";
-        return out;
-    }
-    out.kind = ChildOutcome::Kind::Crash;
-    out.crash = classifyWaitStatus(sup.status, sup.supervisorKilled);
-    out.message = describeChildDeath(sup.status, sup.supervisorKilled);
-    return out;
 }
 
 ChildBatchOutcome

@@ -5,10 +5,12 @@
  * runTolerant()'s thread mode contains failures that surface as C++
  * exceptions, but a SIGSEGV, a runaway allocation the OOM killer
  * resolves, or a run that never polls the cancel flag still takes the
- * whole campaign down with it. Process mode closes that gap: each run
- * executes in a forked child with its own rlimits (CPU seconds, address
- * space, core dumps off) and a supervisor-enforced *hard* timeout —
- * SIGKILL works on a child that never checks anything. The supervisor
+ * whole campaign down with it. Process mode closes that gap: runs
+ * execute in forked children with their own rlimits (CPU seconds,
+ * address space, core dumps off) and a supervisor-enforced *hard*
+ * timeout — SIGKILL works on a child that never checks anything. A
+ * child runs a batch of one or more runs over one framed pipe protocol
+ * (runBatchInChild); a child per run is a batch of one. The supervisor
  * reaps every child and classifies its death into a small crash taxonomy
  * (CrashKind) that feeds the existing RunOutcome retry/quarantine
  * machinery (docs/ROBUSTNESS.md).
@@ -40,7 +42,7 @@ namespace smtavf
 enum class IsolateMode
 {
     Thread, ///< in-process worker threads (exceptions contained, crashes not)
-    Process ///< forked child per run: rlimits, hard kill timeout, taxonomy
+    Process ///< forked children: rlimits, hard kill timeout, taxonomy
 };
 
 /** Canonical lower-case name ("thread", "process"). */
@@ -87,10 +89,10 @@ std::string describeChildDeath(int wait_status, bool supervisor_killed);
 struct ChildLimits
 {
     /**
-     * Supervisor-enforced wall-clock deadline per child; past it the
-     * child is SIGKILLed and the run classified HardTimeout. Unlike the
-     * campaign soft timeout this needs no cooperation from the child.
-     * 0 = no hard timeout.
+     * Supervisor-enforced wall-clock deadline per run (a batch of n runs
+     * gets n times it); past it the child is SIGKILLed and the in-flight
+     * run classified HardTimeout. Unlike the campaign soft timeout this
+     * needs no cooperation from the child. 0 = no hard timeout.
      */
     double hardTimeoutSeconds = 0.0;
     /** RLIMIT_CPU in seconds (SIGXCPU past it); 0 = inherit. */
@@ -106,7 +108,7 @@ struct ChildLimits
     const std::atomic<bool> *cancel = nullptr;
 };
 
-/** Everything one isolated child execution can come back as. */
+/** Everything one run in an isolated child can come back as. */
 struct ChildOutcome
 {
     enum class Kind
@@ -126,33 +128,12 @@ struct ChildOutcome
 };
 
 /**
- * Run @p fn in a forked, sandboxed child and collect the outcome.
- *
- * The child disables core dumps, applies the rlimits, arranges to die
- * with its supervisor (PR_SET_PDEATHSIG), executes fn(), and writes a
- * tagged payload to a pipe: a successful SimResult travels as a
- * `run v3` journal record (hexfloat-exact + CRC), failures as their
- * message. The supervisor enforces the hard timeout with SIGKILL, reaps
- * the child, and classifies any non-protocol death via
- * classifyWaitStatus(). Exceptions never cross the process boundary —
- * every path returns a ChildOutcome.
- *
- * fn runs in the child process: state it mutates is invisible to the
- * parent, and anything it does fatally wrong (segfault, leak past the
- * cap, infinite loop) is contained. This is also the chaos-injection
- * seam: a test runFn that raises SIGSEGV on a designated index exercises
- * the real kill/reap/classify path (tests/test_isolate.cc).
- */
-ChildOutcome runInChild(const std::function<SimResult()> &fn,
-                        const ChildLimits &limits);
-
-/**
- * Outcome of one batched child execution (runBatchInChild). A batch
- * amortizes the fork/construction cost of process isolation over
- * several runs: the child executes fn(0..n-1) sequentially — reusing
- * one worker-local Simulator across shape-compatible runs — and frames
- * each run's result on the pipe as it completes, so every run finished
- * *before* a crash survives the crash.
+ * Outcome of one child execution (runBatchInChild). A batch amortizes
+ * the fork/construction cost of process isolation over several runs:
+ * the child executes fn(0..n-1) sequentially — reusing one worker-local
+ * Simulator across shape-compatible runs — and frames each run's result
+ * on the pipe as it completes, so every run finished *before* a crash
+ * survives the crash.
  */
 struct ChildBatchOutcome
 {
@@ -177,6 +158,7 @@ struct ChildBatchOutcome
     bool cancelled = false;
     /** How the child died (valid when childDied && !cancelled). */
     CrashKind crash = CrashKind::None;
+    /** Why the child died (set whenever childDied). */
     std::string crashMessage;
 
     bool
@@ -190,18 +172,30 @@ struct ChildBatchOutcome
 };
 
 /**
- * Run fn(0), ..., fn(n-1) sequentially in ONE forked, sandboxed child.
+ * Run fn(0), ..., fn(n-1) sequentially in ONE forked, sandboxed child
+ * and collect every run's outcome.
  *
- * Same sandbox as runInChild (core dumps off, rlimits, PR_SET_PDEATHSIG),
- * with the wall-clock and CPU budgets scaled by n — the supervisor
- * cannot see per-run boundaries precisely enough to re-arm a per-run
- * deadline, so the deadline is per batch. The wire protocol is framed:
- * the child writes `start <k>\n` before each run and
- * `<tag> <k> <len>\n<payload>` after it (tags as in runInChild; an "ok"
- * payload is the CRC'd `run v3` record, so results stay bit-exact). The
- * supervisor parses whatever frames arrived before EOF, attributes a
- * death to the started-but-unframed run, and leaves later runs
- * unreported so the caller can re-dispatch just the remainder.
+ * The child disables core dumps, applies the rlimits and arranges to die
+ * with its supervisor (PR_SET_PDEATHSIG). The supervisor enforces the
+ * hard timeout with SIGKILL, scaled by n — it cannot see per-run
+ * boundaries precisely enough to re-arm a per-run deadline, so the
+ * deadline is per batch — then reaps the child and classifies any
+ * non-protocol death via classifyWaitStatus(). Exceptions never cross
+ * the process boundary.
+ *
+ * The wire protocol is framed: the child writes `start <k>\n` before
+ * each run and `<tag> <k> <len>\n<payload>` after it. Tag "ok" carries
+ * the run's SimResult as a CRC'd `run v3` journal record (hexfloat-
+ * exact); "livelock", "cancelled", "oom" and "error" carry the failure
+ * message. The supervisor parses whatever frames arrived before EOF,
+ * attributes a death to the started-but-unframed run, and leaves later
+ * runs unreported so the caller can re-dispatch just the remainder.
+ *
+ * fn runs in the child process: state it mutates is invisible to the
+ * parent, and anything it does fatally wrong (segfault, leak past the
+ * cap, infinite loop) is contained. This is also the chaos-injection
+ * seam: a test runFn that raises SIGSEGV on a designated index exercises
+ * the real kill/reap/classify path (tests/test_isolate.cc).
  */
 ChildBatchOutcome runBatchInChild(std::size_t n,
                                   const std::function<SimResult(std::size_t)>
@@ -209,8 +203,8 @@ ChildBatchOutcome runBatchInChild(std::size_t n,
                                   const ChildLimits &limits);
 
 /**
- * SIGKILL every child currently being supervised by runInChild() in this
- * process. Async-signal-safe; the CLI's hard-exit SIGINT handler calls
+ * SIGKILL every child currently being supervised by runBatchInChild() in
+ * this process. Async-signal-safe; the CLI's hard-exit SIGINT handler calls
  * it so a second Ctrl-C never leaves orphaned simulation children
  * burning CPU.
  */

@@ -22,17 +22,21 @@
 #include <new>
 
 #include "ckpt/checkpoint.hh"
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 #include "workload/mixes.hh"
 
 /** Global allocations observed since process start (counting hook). */
 static std::atomic<std::uint64_t> g_allocCount{0};
+/** Bytes those allocations requested. */
+static std::atomic<std::uint64_t> g_allocBytes{0};
 
 static void *
 countedAlloc(std::size_t n, std::size_t align)
 {
     g_allocCount.fetch_add(1, std::memory_order_relaxed);
+    g_allocBytes.fetch_add(n, std::memory_order_relaxed);
     if (n == 0)
         n = 1;
     void *p;
@@ -263,6 +267,66 @@ TEST(AllocProfile, ResetIsAllocationFree)
                 static_cast<unsigned long long>(used_reset));
     EXPECT_LE(fresh_reset, kResetAllocBudget);
     EXPECT_LE(used_reset, kResetAllocBudget);
+}
+
+/**
+ * A beam search is a sequence of shared-warmup campaigns over one shape
+ * that differ only in protection: the runner keeps each worker's idle
+ * simulator across runTolerant() calls, so after the first candidate
+ * every candidate resets and restores instead of constructing. Gate:
+ * heap bytes per candidate stay below the bytes of one construction.
+ */
+TEST(AllocProfile, SharedWarmupCandidatesReuseTheWorkersSimulator)
+{
+    auto cfg = table1Config(4);
+    cfg.seed = 7;
+    cfg.invariantCheckCycles = 0;
+    const auto &mix = findMix("4ctx-mix-A");
+    auto bytes = [] { return g_allocBytes.load(std::memory_order_relaxed); };
+
+    std::uint64_t construct = bytes();
+    {
+        Simulator probe(cfg, mix);
+        construct = bytes() - construct;
+    }
+    Checkpoint warm = Simulator(cfg, mix).captureWarmupCheckpoint(5000);
+
+    // Two generations of three candidates, one protected structure each.
+    const HwStruct structs[] = {HwStruct::IQ, HwStruct::ROB,
+                                HwStruct::RegFile};
+    std::vector<Experiment> generations[2];
+    for (int g = 0; g < 2; ++g)
+        for (HwStruct s : structs) {
+            Experiment e;
+            e.cfg = cfg;
+            e.cfg.protection.assign(s, g ? ProtScheme::Secded
+                                         : ProtScheme::Parity);
+            e.mix = mix;
+            e.budget = 2000;
+            e.warmup = 5000;
+            e.label = std::string(hwStructKey(s)) + "/gen" +
+                      std::to_string(g);
+            generations[g].push_back(std::move(e));
+        }
+
+    CampaignOptions copt;
+    copt.sharedWarmup = true;
+    copt.warmupCheckpoint = &warm;
+    CampaignRunner pool(1); // one worker, one idle simulator
+    std::vector<std::uint64_t> marks;
+    auto progress = [&](const CampaignProgress &) { marks.push_back(bytes()); };
+    for (const auto &gen : generations)
+        ASSERT_TRUE(runTolerant(pool, gen, copt, progress).allOk());
+
+    ASSERT_EQ(marks.size(), 6u);
+    std::printf("alloc-profile: construct=%llu bytes\n",
+                static_cast<unsigned long long>(construct));
+    for (std::size_t k = 1; k < marks.size(); ++k) {
+        const std::uint64_t candidate = marks[k] - marks[k - 1];
+        std::printf("alloc-profile: candidate %zu=%llu bytes\n", k,
+                    static_cast<unsigned long long>(candidate));
+        EXPECT_LT(candidate, construct) << "candidate " << k;
+    }
 }
 
 TEST(AllocSteadyState, HookCountsAllocations)

@@ -227,6 +227,24 @@ TEST(CampaignRunner, ProgressReportsEveryRunWithTiming)
         EXPECT_EQ(seen[i].completed, i + 1);
 }
 
+TEST(CampaignRunner, RunThrowsWhenARunFails)
+{
+    // run() is runTolerant() without retries: a failed run is not
+    // retried, and the caller gets the failure report as an exception.
+    auto exps = fourMixCampaign();
+    exps[1].cfg.prewarmCaches = false; // cold caches: nothing commits
+    exps[1].cfg.livelockCycles = 50;   // within 50 cycles -> livelock
+    CampaignRunner pool(2);
+    try {
+        pool.run(exps);
+        FAIL() << "run() returned despite a livelocked run";
+    } catch (const std::runtime_error &err) {
+        EXPECT_NE(std::string(err.what()).find("run 1 ["),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
 class InjectionDeterminism : public ::testing::Test
 {
   protected:

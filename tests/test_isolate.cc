@@ -29,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -414,32 +415,42 @@ TEST(CrashTaxonomy, ClassifiesWaitStatuses)
               std::string::npos);
 }
 
-// --- runInChild ---------------------------------------------------------
+// --- a child per run is a batch of one ----------------------------------
 
-TEST(RunInChild, HealthyRunIsBitIdenticalToInProcess)
+/** runBatchInChild over one run: the per-run child protocol. */
+ChildOutcome
+runInBatchOfOne(const std::function<SimResult()> &fn)
+{
+    ChildBatchOutcome bo =
+        runBatchInChild(1, [&](std::size_t) { return fn(); }, {});
+    EXPECT_TRUE(bo.allReported());
+    EXPECT_FALSE(bo.childDied);
+    return bo.reported[0] ? std::move(bo.runs[0]) : ChildOutcome{};
+}
+
+TEST(ChildBatchOfOne, HealthyRunIsBitIdenticalToInProcess)
 {
     Experiment e = fourMixCampaign()[0];
-    ChildOutcome co = runInChild([&] { return runExperiment(e); }, {});
+    ChildOutcome co = runInBatchOfOne([&] { return runExperiment(e); });
     ASSERT_EQ(co.kind, ChildOutcome::Kind::Result);
     EXPECT_EQ(co.crash, CrashKind::None);
     expectIdentical(co.result, runExperiment(e));
 }
 
-TEST(RunInChild, ExceptionsCrossAsErrorMessages)
+TEST(ChildBatchOfOne, ExceptionsCrossAsErrorMessages)
 {
-    ChildOutcome co = runInChild(
-        []() -> SimResult { throw std::runtime_error("boom in child"); },
-        {});
+    ChildOutcome co = runInBatchOfOne(
+        []() -> SimResult { throw std::runtime_error("boom in child"); });
     ASSERT_EQ(co.kind, ChildOutcome::Kind::Error);
     EXPECT_EQ(co.message, "boom in child");
 }
 
-TEST(RunInChild, LivelockCrossesAsLivelock)
+TEST(ChildBatchOfOne, LivelockCrossesAsLivelock)
 {
     Experiment e = fourMixCampaign()[0];
     e.cfg.prewarmCaches = false; // cold caches: nothing commits in 50cy
     e.cfg.livelockCycles = 50;
-    ChildOutcome co = runInChild([&] { return runExperiment(e); }, {});
+    ChildOutcome co = runInBatchOfOne([&] { return runExperiment(e); });
     ASSERT_EQ(co.kind, ChildOutcome::Kind::Livelock);
     EXPECT_NE(co.message.find("livelock"), std::string::npos);
 }
@@ -821,29 +832,46 @@ TEST(CancelPoll, CampaignClassifiesMidRunCancellationAsTimedOut)
 TEST(CancelPoll, SupervisorKillsChildOnCancellation)
 {
     // Process-mode cancellation: the child never polls anything; the
-    // supervisor's SIGKILL must end it promptly anyway.
-    std::atomic<bool> flag{false};
-    auto exps = fourMixCampaign();
-    exps.resize(1);
-    CampaignOptions opt = processOpt();
-    opt.cancel = &flag;
-    opt.runFn = [](const Experiment &, std::size_t) -> SimResult {
-        std::this_thread::sleep_for(std::chrono::seconds(300));
-        return {};
-    };
-    std::thread trigger([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        flag.store(true);
-    });
-    CampaignRunner pool(1);
-    auto t0 = std::chrono::steady_clock::now();
-    auto report = runTolerant(pool, exps, opt);
-    std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-    trigger.join();
-    EXPECT_LT(dt.count(), 30.0);
-    EXPECT_EQ(report.outcomes[0].status, RunStatus::TimedOut);
-    EXPECT_NE(report.outcomes[0].error.find("campaign cancelled"),
-              std::string::npos);
+    // supervisor's SIGKILL must end it promptly anyway. Whatever the
+    // batch size, the run in flight was started — one attempt, settled
+    // timed-out with the supervisor's reason — and the runs behind it
+    // never were.
+    for (unsigned runs_per_child : {1u, 4u}) {
+        SCOPED_TRACE("runsPerChild " + std::to_string(runs_per_child));
+        std::atomic<bool> flag{false};
+        auto exps = fourMixCampaign();
+        CampaignOptions opt = processOpt();
+        opt.runsPerChild = runs_per_child;
+        opt.cancel = &flag;
+        opt.runFn = [](const Experiment &, std::size_t) -> SimResult {
+            std::this_thread::sleep_for(std::chrono::seconds(300));
+            return {};
+        };
+        std::thread trigger([&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+            flag.store(true);
+        });
+        CampaignRunner pool(1);
+        auto t0 = std::chrono::steady_clock::now();
+        auto report = runTolerant(pool, exps, opt);
+        std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - t0;
+        trigger.join();
+        EXPECT_LT(dt.count(), 30.0);
+
+        const RunOutcome &killed = report.outcomes[0];
+        EXPECT_EQ(killed.status, RunStatus::TimedOut);
+        EXPECT_EQ(killed.attempts, 1u);
+        EXPECT_EQ(killed.error,
+                  "child killed by supervisor: campaign cancelled");
+        for (std::size_t i = 1; i < exps.size(); ++i) {
+            const RunOutcome &o = report.outcomes[i];
+            EXPECT_EQ(o.status, RunStatus::TimedOut) << i;
+            EXPECT_EQ(o.attempts, 0u) << i;
+            EXPECT_EQ(o.error.rfind("not started", 0), 0u)
+                << i << ": " << o.error;
+        }
+    }
 }
 
 } // namespace

@@ -6,11 +6,12 @@
  * The correctness bar is byte-identical `run v3` journals: a campaign
  * that reuses worker-local simulators (thread mode) or batches runs per
  * sandboxed child (--runs-per-child) must journal exactly the bytes a
- * construct-per-run campaign writes, across context counts and fetch
- * policies. The batch-chaos tests then prove the crash story: a child
- * dying mid-batch loses only the in-flight run — completed frames
- * survive, the remainder is re-dispatched without being charged an
- * attempt, and retry/quarantine accounting stays per-run.
+ * serial runExperiment() loop — a fresh Simulator per run — writes,
+ * across context counts and fetch policies. The batch-chaos tests then
+ * prove the crash story: a child dying mid-batch loses only the
+ * in-flight run — completed frames survive, the remainder is
+ * re-dispatched without being charged an attempt, and retry/quarantine
+ * accounting stays per-run.
  *
  * Rides in the `chaos` binary (not `tsan`): the batch tests fork
  * children out of a threaded pool and kill them with real signals.
@@ -166,65 +167,63 @@ TEST(SimulatorReset, TimingShapeMismatchesAreRejected)
 
 // --- the differential guarantees -----------------------------------------
 
+/**
+ * The reference every campaign mode must match: a serial
+ * runExperiment() loop — one fresh Simulator per run — journaled in
+ * submission order. Returns the journal's lines.
+ */
+std::vector<std::string>
+serialJournal(const std::vector<Experiment> &exps, const std::string &path)
+{
+    std::remove(path.c_str());
+    {
+        RunJournal journal(path);
+        for (const Experiment &e : exps)
+            journal.append(experimentFingerprint(e), runExperiment(e));
+    }
+    auto lines = readLines(path);
+    std::remove(path.c_str());
+    return lines;
+}
+
 TEST(ReuseDifferential, ThreadReuseIsByteIdenticalToFreshConstruction)
 {
     const std::string rj = "reuse_diff_reused.journal";
-    const std::string fj = "reuse_diff_fresh.journal";
-    std::remove(rj.c_str());
-    std::remove(fj.c_str());
-
     auto exps = reuseMatrix();
-    CampaignOptions reused;
-    reused.journalPath = rj; // reuseWorkers defaults on
-    CampaignOptions fresh;
-    fresh.journalPath = fj;
-    fresh.reuseWorkers = false;
-
-    CampaignRunner pool(1); // one worker: even append order must match
-    auto rrep = runTolerant(pool, exps, reused);
-    auto frep = runTolerant(pool, exps, fresh);
-    ASSERT_TRUE(rrep.allOk());
-    ASSERT_TRUE(frep.allOk());
-    for (std::size_t i = 0; i < exps.size(); ++i)
-        EXPECT_EQ(wire(rrep.outcomes[i].result),
-                  wire(frep.outcomes[i].result))
-            << exps[i].label;
-    EXPECT_EQ(readLines(rj), readLines(fj));
+    const auto serial = serialJournal(exps, "reuse_diff_serial.journal");
 
     std::remove(rj.c_str());
-    std::remove(fj.c_str());
+    CampaignOptions reused;
+    reused.journalPath = rj;
+    CampaignRunner pool(1); // one worker: even append order must match
+    ASSERT_TRUE(runTolerant(pool, exps, reused).allOk());
+    EXPECT_EQ(readLines(rj), serial);
+
+    std::remove(rj.c_str());
 }
 
 TEST(ReuseDifferential, BatchedChildrenAreByteIdenticalToFreshChildren)
 {
-    const std::string bj = "reuse_diff_batched.journal";
-    const std::string fj = "reuse_diff_perrun.journal";
-    std::remove(bj.c_str());
-    std::remove(fj.c_str());
-
     auto exps = reuseMatrix();
-    CampaignOptions batched;
-    batched.isolate = IsolateMode::Process;
-    batched.runsPerChild = 5; // straddles the 6-run same-shape cells
-    batched.journalPath = bj;
-    CampaignOptions fresh;
-    fresh.isolate = IsolateMode::Process;
-    fresh.reuseWorkers = false;
-    fresh.journalPath = fj;
+    const auto serial = serialJournal(exps, "reuse_diff_serial_batch.journal");
 
-    CampaignRunner pool(1);
-    auto brep = runTolerant(pool, exps, batched);
-    auto frep = runTolerant(pool, exps, fresh);
-    ASSERT_TRUE(brep.allOk());
-    ASSERT_TRUE(frep.allOk());
-    for (std::size_t i = 0; i < exps.size(); ++i)
-        EXPECT_EQ(wire(brep.outcomes[i].result),
-                  wire(frep.outcomes[i].result))
-            << exps[i].label;
-    EXPECT_EQ(readLines(bj), readLines(fj));
+    // 1 is a batch of one (a fresh child per run); 5 straddles the
+    // 6-run same-shape cells.
+    for (unsigned rpc : {1u, 5u}) {
+        SCOPED_TRACE("runsPerChild " + std::to_string(rpc));
+        const std::string bj = "reuse_diff_batched.journal";
+        std::remove(bj.c_str());
+        CampaignOptions batched;
+        batched.isolate = IsolateMode::Process;
+        batched.runsPerChild = rpc;
+        batched.journalPath = bj;
 
-    std::remove(bj.c_str());
-    std::remove(fj.c_str());
+        CampaignRunner pool(1);
+        auto brep = runTolerant(pool, exps, batched);
+        ASSERT_TRUE(brep.allOk());
+        EXPECT_EQ(readLines(bj), serial);
+        std::remove(bj.c_str());
+    }
 }
 
 TEST(ReuseDifferential, MultiWorkerModesAgreeAsRecordSets)

@@ -57,9 +57,10 @@ echo "==> running bench_ckpt_warmup (shared-warmup gate + timings)"
     --benchmark_out="$repo/BENCH_micro.json.ckpt" \
     --benchmark_out_format=json
 
-# Campaign setup throughput: runs/s for a 1000-short-run campaign,
-# fresh vs reused workers in both isolation modes. The binary gates on
-# byte-identical journals before it times anything.
+# Campaign setup throughput: runs/s for a 1000-short-run campaign in
+# thread mode and in process mode with 1 and 32 runs per child. The
+# binary gates on journals byte-identical to a serial loop before it
+# times anything.
 echo "==> running bench_campaign_setup (worker-reuse gate + runs/s)"
 "$build/bench/bench_campaign_setup" \
     --benchmark_format=json \

@@ -221,37 +221,43 @@ for preset in $presets; do
             fi
         done
 
-        # Batched-child smoke: a --runs-per-child campaign must complete
-        # and journal the same canonical records as a one-child-per-run
-        # campaign (the byte-level differential lives in
-        # tests/test_reuse.cc; this pins the CLI wiring), and the flag
-        # must be rejected outside process isolation.
-        echo "==> [$preset] --runs-per-child smoke"
+        # One-engine smoke: thread mode, process mode with one run per
+        # child and process mode with 4 must journal the same canonical
+        # records (the byte-level differential against a serial loop
+        # lives in tests/test_reuse.cc; this pins the CLI wiring).
+        # --runs-per-child must be rejected outside process isolation,
+        # and the retired --no-reuse flag must be a usage error.
+        echo "==> [$preset] campaign engine smoke"
         cli="$build/tools/smtavf_cli"
         tmp=$(mktemp -d)
         trap 'rm -rf "$tmp"' EXIT
-        args="--contexts 2 --instructions 200000 --isolate process \
-              --jobs 2 --master-seed 7"
+        args="--contexts 2 --instructions 200000 --jobs 2 --master-seed 7"
         # shellcheck disable=SC2086  # word splitting is the point
-        "$cli" campaign $args --journal "$tmp/single.journal" >/dev/null
+        "$cli" campaign $args --journal "$tmp/thread.journal" >/dev/null
         # shellcheck disable=SC2086
-        "$cli" campaign $args --runs-per-child 4 \
+        "$cli" campaign $args --isolate process \
+            --journal "$tmp/single.journal" >/dev/null
+        # shellcheck disable=SC2086
+        "$cli" campaign $args --isolate process --runs-per-child 4 \
             --journal "$tmp/batched.journal" >/dev/null
-        "$cli" merge-journals --out "$tmp/single.canon" \
-            "$tmp/single.journal" >/dev/null
-        "$cli" merge-journals --out "$tmp/batched.canon" \
-            "$tmp/batched.journal" >/dev/null
-        cmp "$tmp/single.canon" "$tmp/batched.canon"
-        set +e
-        "$cli" campaign --contexts 2 --instructions 200000 \
-            --runs-per-child 4 >/dev/null 2>&1
-        st=$?
-        set -e
-        if [ "$st" -ne 2 ]; then
-            echo "--runs-per-child without --isolate process:" \
-                 "expected exit 2, got $st" >&2
-            exit 1
-        fi
+        for mode in thread single batched; do
+            "$cli" merge-journals --out "$tmp/$mode.canon" \
+                "$tmp/$mode.journal" >/dev/null
+        done
+        cmp "$tmp/thread.canon" "$tmp/single.canon"
+        cmp "$tmp/thread.canon" "$tmp/batched.canon"
+        for bad in '--runs-per-child 4' '--no-reuse'; do
+            set +e
+            # shellcheck disable=SC2086
+            "$cli" campaign --contexts 2 --instructions 200000 $bad \
+                >/dev/null 2>&1
+            st=$?
+            set -e
+            if [ "$st" -ne 2 ]; then
+                echo "campaign $bad: expected exit 2, got $st" >&2
+                exit 1
+            fi
+        done
         rm -rf "$tmp"
         trap - EXIT
     fi

@@ -138,9 +138,6 @@ usage()
         "                        sandboxed child over a reused simulator;\n"
         "                        a crash loses only the in-flight run and\n"
         "                        the remainder is re-dispatched (default 1)\n"
-        "  --no-reuse            construct a fresh simulator per run instead\n"
-        "                        of reset()ing a worker-local one (slower;\n"
-        "                        results are bit-identical either way)\n"
         "  --hard-timeout SECS   process: SIGKILL a child past this wall\n"
         "                        clock (per run; scaled by --runs-per-child;\n"
         "                        works on wedged runs; 0 = off)\n"
@@ -432,8 +429,6 @@ campaignMain(int argc, char **argv)
                 static_cast<unsigned>(parseNum("--runs-per-child", next()));
             if (opt.runsPerChild == 0)
                 die("--runs-per-child wants a positive batch size");
-        } else if (arg == "--no-reuse") {
-            opt.reuseWorkers = false;
         } else if (arg == "--hard-timeout") {
             opt.hardTimeoutSeconds = parseSeconds("--hard-timeout", next());
         } else if (arg == "--child-cpu") {
