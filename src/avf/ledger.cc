@@ -72,6 +72,12 @@ AvfLedger::finalize(Cycle total_cycles)
     // dilute the average either.
     totalCycles_ = total_cycles - baseCycle_;
     finalized_ = true;
+    if (exposure_) {
+        std::array<std::uint64_t, numHwStructs> ace{};
+        for (std::size_t s = 0; s < numHwStructs; ++s)
+            ace[s] = aceBitCycles(static_cast<HwStruct>(s));
+        exposure_->seal(ace, structBits_, totalCycles_);
+    }
 }
 
 void
@@ -84,6 +90,7 @@ AvfLedger::reset()
         aceResidual_[s].assign(numThreads_, 0);
     }
     protection_ = ProtectionConfig{};
+    exposure_ = nullptr;
     totalCycles_ = 0;
     baseCycle_ = 0;
     finalized_ = false;
@@ -100,6 +107,8 @@ AvfLedger::resetTallies(Cycle boundary)
         aceCovered_[s].assign(numThreads_, 0);
         aceResidual_[s].assign(numThreads_, 0);
     }
+    if (exposure_)
+        exposure_->clear();
     baseCycle_ = boundary;
 }
 
@@ -171,8 +180,7 @@ AvfLedger::avf(HwStruct s) const
     auto bits = structBits_[idx(s)];
     if (bits == 0)
         return 0.0;
-    return static_cast<double>(aceBitCycles(s)) /
-           (static_cast<double>(bits) * static_cast<double>(totalCycles_));
+    return avfRatio(aceBitCycles(s), bits, totalCycles_);
 }
 
 double
@@ -183,8 +191,7 @@ AvfLedger::residualAvf(HwStruct s) const
     auto bits = structBits_[idx(s)];
     if (bits == 0)
         return 0.0;
-    return static_cast<double>(residualAceBitCycles(s)) /
-           (static_cast<double>(bits) * static_cast<double>(totalCycles_));
+    return avfRatio(residualAceBitCycles(s), bits, totalCycles_);
 }
 
 double
@@ -195,8 +202,7 @@ AvfLedger::threadAvf(HwStruct s, ThreadId tid) const
     auto bits = perThreadBits_[idx(s)];
     if (bits == 0)
         return 0.0;
-    return static_cast<double>(aceBitCycles(s, tid)) /
-           (static_cast<double>(bits) * static_cast<double>(totalCycles_));
+    return avfRatio(aceBitCycles(s, tid), bits, totalCycles_);
 }
 
 double
@@ -207,8 +213,7 @@ AvfLedger::occupancy(HwStruct s) const
     auto bits = structBits_[idx(s)];
     if (bits == 0)
         return 0.0;
-    return static_cast<double>(aceBitCycles(s) + unAceBitCycles(s)) /
-           (static_cast<double>(bits) * static_cast<double>(totalCycles_));
+    return avfRatio(aceBitCycles(s) + unAceBitCycles(s), bits, totalCycles_);
 }
 
 double

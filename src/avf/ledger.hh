@@ -20,8 +20,10 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "avf/exposure.hh"
 #include "avf/structures.hh"
 #include "base/arena.hh"
 #include "base/types.hh"
@@ -79,6 +81,8 @@ class AvfLedger
             return;
         }
         ace_[i][tid] += bit_cycles * count;
+        if (exposure_) [[unlikely]]
+            exposure_->record(s, bits, end - start, count);
         const ProtScheme scheme = protection_.scheme[i];
         if (scheme == ProtScheme::None) {
             aceResidual_[i][tid] += bit_cycles * count;
@@ -90,6 +94,21 @@ class AvfLedger
             badCoverage(s, covered, bit_cycles);
         aceCovered_[i][tid] += covered * count;
         aceResidual_[i][tid] += (bit_cycles - covered) * count;
+    }
+
+    /**
+     * Record every ACE booking from now on into @p profile as well (null
+     * detaches). The profile covers the same window as the tallies:
+     * resetTallies() clears it, reset() detaches it, and finalize()
+     * seals it against the ACE tallies (ExposureProfile::complete()).
+     * Attach it where the tallies are empty — the start of a run or the
+     * warmup boundary — or it will not be complete. An unrecorded run pays
+     * one predictable branch per ACE booking.
+     */
+    void
+    recordExposure(std::shared_ptr<ExposureProfile> profile)
+    {
+        exposure_ = std::move(profile);
     }
 
     /** Fix the run length; AVFs are undefined before this is called. */
@@ -194,6 +213,7 @@ class AvfLedger
     std::array<AVec<std::uint64_t>, numHwStructs> aceCovered_;
     std::array<AVec<std::uint64_t>, numHwStructs> aceResidual_;
     ProtectionConfig protection_{};
+    std::shared_ptr<ExposureProfile> exposure_; ///< see recordExposure
     Cycle totalCycles_ = 0;
     Cycle baseCycle_ = 0;
     bool finalized_ = false;

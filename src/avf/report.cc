@@ -49,6 +49,15 @@ AvfReport::restore(
     return r;
 }
 
+AvfReport
+AvfReport::withResidual(
+    const std::array<double, numHwStructs> &residual) const
+{
+    AvfReport r = *this;
+    r.residual_ = residual;
+    return r;
+}
+
 double
 AvfReport::avf(HwStruct s) const
 {

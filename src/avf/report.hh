@@ -39,6 +39,15 @@ class AvfReport
             const std::array<std::array<double, maxContexts>, numHwStructs>
                 &thread_avf);
 
+    /**
+     * This report with its residual AVFs replaced — a protection
+     * assignment priced from the run's exposure profile
+     * (ExposureProfile::residualAvf). Everything else is the measured
+     * run's, which protection never changes outside PRAT.
+     */
+    AvfReport
+    withResidual(const std::array<double, numHwStructs> &residual) const;
+
     /** Aggregate AVF of a structure. */
     double avf(HwStruct s) const;
 

@@ -45,6 +45,18 @@ constexpr std::size_t numHwStructs =
 const char *hwStructName(HwStruct s);
 
 /**
+ * The ratio behind every AVF-style figure: @p bit_cycles over
+ * @p bits x @p cycles. One expression for the ledger's figures and the
+ * exposure profile's priced residuals, so the two cannot drift apart.
+ */
+inline double
+avfRatio(std::uint64_t bit_cycles, std::uint64_t bits, std::uint64_t cycles)
+{
+    return static_cast<double>(bit_cycles) /
+           (static_cast<double>(bits) * static_cast<double>(cycles));
+}
+
+/**
  * Per-entry payload bit widths. These follow M-Sim-style field layouts:
  * an IQ entry carries opcode, three physical tags, an immediate and control
  * state; a ROB entry carries completion/exception state plus mappings; a

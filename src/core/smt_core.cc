@@ -119,6 +119,7 @@ SmtCore::reset(const MachineConfig &cfg)
     wrongPathFetched_ = 0;
     squashedInstrs_ = 0;
     fetchedInstrs_ = 0;
+    totalCommitted_ = 0;
     fetchEnabled_ = true;
     commitTrace_ = nullptr;
 
@@ -225,15 +226,6 @@ std::uint64_t
 SmtCore::issued(ThreadId tid) const
 {
     return threads_.at(tid)->issuedCount;
-}
-
-std::uint64_t
-SmtCore::totalCommitted() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &th : threads_)
-        sum += th->committedCount;
-    return sum;
 }
 
 const ThreadPredictor &
@@ -365,6 +357,7 @@ SmtCore::commitStage()
             ++count;
         }
     }
+    totalCommitted_ += count;
     commitRR_ = (commitRR_ + 1) % n;
 }
 

@@ -172,6 +172,9 @@ class SmtCore : public PolicyContext
         }
         if constexpr (Ar::loading) {
             policy_->loadState(ar);
+            totalCommitted_ = 0;
+            for (const auto &thp : threads_)
+                totalCommitted_ += thp->committedCount;
             // Boundary invariants (already true on a fresh core; restated
             // so a restore into a reused core cannot smuggle stale state).
             for (auto &thp : threads_) {
@@ -194,7 +197,21 @@ class SmtCore : public PolicyContext
 
     Cycle now() const { return now_; }
     std::uint64_t committed(ThreadId tid) const;
-    std::uint64_t totalCommitted() const;
+
+    /**
+     * Instructions committed by all threads: a running total kept at
+     * commit (the run loop polls it every cycle), rebuilt from the
+     * per-thread counters on reset and restore. Invariant
+     * core.commit_total proves it equals their sum.
+     */
+    std::uint64_t totalCommitted() const { return totalCommitted_; }
+
+    /** Invariant-test hook: skew the running commit total by @p delta. */
+    void
+    debugSkewCommitTotal(std::uint64_t delta)
+    {
+        totalCommitted_ += delta;
+    }
 
     /** Per-thread branch predictor (stats access). */
     const ThreadPredictor &predictor(ThreadId tid) const;
@@ -423,6 +440,7 @@ class SmtCore : public PolicyContext
     std::uint64_t wrongPathFetched_ = 0;
     std::uint64_t squashedInstrs_ = 0;
     std::uint64_t fetchedInstrs_ = 0;
+    std::uint64_t totalCommitted_ = 0; ///< sum of committedCount
 
     /** Fetch gate for drain-then-checkpoint (setFetchEnabled). */
     bool fetchEnabled_ = true;

@@ -52,6 +52,8 @@ struct SimResult
     std::shared_ptr<const AvfIntervalSeries> avfIntervals;
     /** Commit trace (set when MachineConfig::recordCommitTrace). */
     std::shared_ptr<const CommitTrace> commitTrace;
+    /** ACE exposure histogram (set by RunControls::recordExposure). */
+    std::shared_ptr<const ExposureProfile> exposure;
 
     /** Reliability efficiency of a structure: IPC / AVF (prop. to MITF). */
     double mitf(HwStruct s) const;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "base/logging.hh"
@@ -159,7 +162,66 @@ hasVariant(const ProtectionConfig &p, HwStruct s, const SchemeVariant &v)
            p.scrubIntervalFor(s) == v.interval;
 }
 
+/**
+ * True when candidates of @p cfg may be priced from the baseline's
+ * exposure profile instead of simulated: the policy must not read the
+ * assignment (PRAT's throttle does), and no per-window observer may be
+ * on, since a priced result carries only the baseline's whole-run report.
+ */
+bool
+priceable(const MachineConfig &cfg)
+{
+    return cfg.fetchPolicy != FetchPolicyKind::PRat &&
+           cfg.avfSampleCycles == 0 && !cfg.recordCommitTrace;
+}
+
+/** The baseline @p r to price from, or null when its profile is unfit. */
+std::shared_ptr<const SimResult>
+pricingBase(const SimResult &r)
+{
+    if (!r.exposure || !r.exposure->complete())
+        return nullptr;
+    return std::make_shared<const SimResult>(r);
+}
+
+/** The runFn that prices candidates from @p measured. */
+std::function<SimResult(const Experiment &, std::size_t)>
+pricer(std::shared_ptr<const SimResult> measured)
+{
+    return [measured](const Experiment &e, std::size_t) {
+        return priceProtection(*measured, e.cfg.protection);
+    };
+}
+
+/** runTolerant() with CampaignRunner::run()'s all-or-throw contract. */
+std::vector<SimResult>
+runAll(CampaignRunner &pool, const std::vector<Experiment> &exps,
+       CampaignOptions opt)
+{
+    opt.retries = 0;
+    CampaignReport report = runTolerant(pool, exps, opt);
+    if (!report.allOk())
+        throw std::runtime_error(report.failureReport());
+    std::vector<SimResult> results;
+    results.reserve(exps.size());
+    for (RunOutcome &o : report.outcomes)
+        results.push_back(std::move(o.result));
+    return results;
+}
+
 } // namespace
+
+SimResult
+priceProtection(const SimResult &measured, const ProtectionConfig &p)
+{
+    if (!measured.exposure || !measured.exposure->complete())
+        SMTAVF_FATAL("pricing protection needs a run with a complete "
+                     "exposure profile (RunControls::recordExposure)");
+    SimResult r = measured;
+    r.avf = measured.avf.withResidual(measured.exposure->residualAvf(p));
+    r.exposure = nullptr;
+    return r;
+}
 
 std::string
 ExplorationResult::csv() const
@@ -428,7 +490,10 @@ ProtectionExplorer::explore(CampaignRunner &pool, std::uint64_t warmup) const
     baseline.mix = mix_;
     baseline.budget = budget_;
     baseline.warmup = warmup;
-    SimResult base_run = pool.run({baseline}).front();
+    // Armed profile: the candidates below are priced from this one run.
+    CampaignOptions base_opt;
+    base_opt.recordExposure = priceable(base_);
+    SimResult base_run = runAll(pool, {baseline}, base_opt).front();
 
     ExplorationResult result;
     result.mode = ExploreMode::Prefix;
@@ -458,7 +523,10 @@ ProtectionExplorer::explore(CampaignRunner &pool, std::uint64_t warmup) const
                   std::to_string(depth);
         exps.push_back(std::move(e));
     }
-    auto runs = pool.run(exps);
+    CampaignOptions copt;
+    if (auto measured = pricingBase(base_run))
+        copt.runFn = pricer(std::move(measured));
+    auto runs = runAll(pool, exps, copt);
     result.evaluations = runs.size();
 
     auto to_point = [&](const std::string &label, const Experiment &e,
@@ -510,12 +578,18 @@ ProtectionExplorer::exploreBeam(CampaignRunner &pool,
     copt.resume = opt.resume;
     copt.runFn = opt.runFn;
 
-    // Protection assignments are excluded from the reset compatibility
-    // shape, so every candidate — warmed by restoring the shared
-    // checkpoint or not — reset()s the idle simulator its pool worker
-    // kept from an earlier run, across generations too (the pool keeps
-    // them between runTolerant() calls). The search constructs one
-    // Simulator per pool worker.
+    // Pricing: a candidate differs from the baseline only in how the
+    // ledger splits ACE bit-cycles into covered and residual, so the
+    // baseline, simulated once with its exposure profile armed, prices
+    // every candidate exactly (avf/exposure.hh). Candidates still go
+    // through runTolerant() — a pricing runFn takes no simulator — so
+    // the journal, resume replays, the budget and the trace are those of
+    // simulated candidates. Off under PRAT, a runFn seam or an observer,
+    // and when the profile fails its completeness identity; candidates
+    // then simulate, each reset()ing its worker's idle simulator (the
+    // pool keeps them across runTolerant() calls), so the search
+    // constructs at most one Simulator per pool worker.
+    const bool price = !opt.runFn && priceable(base_);
 
     // Shared warmup: simulate the warmup prefix exactly once, up front,
     // and let every runTolerant() batch (baseline, each generation)
@@ -527,14 +601,16 @@ ProtectionExplorer::exploreBeam(CampaignRunner &pool,
     Checkpoint warm_ck;
     const bool prat = base_.fetchPolicy == FetchPolicyKind::PRat;
     if (opt.warmup > 0 && opt.sharedWarmup && !opt.runFn && !prat) {
-        Simulator warm(base_, mix_);
-        warm_ck = warm.captureWarmupCheckpoint(opt.warmup);
+        std::unique_ptr<Simulator> warm = pool.acquire(base_, mix_);
+        warm_ck = warm->captureWarmupCheckpoint(opt.warmup);
+        pool.putIdle(std::move(warm));
         copt.sharedWarmup = true;
         copt.warmupCheckpoint = &warm_ck;
     }
 
-    auto runBatch = [&](const std::vector<Experiment> &exps) {
-        auto report = runTolerant(pool, exps, copt);
+    auto runBatch = [&](const std::vector<Experiment> &exps,
+                        const CampaignOptions &o) {
+        auto report = runTolerant(pool, exps, o);
         if (!report.allOk())
             SMTAVF_FATAL("beam search candidate failed:\n",
                          report.failureReport());
@@ -548,9 +624,42 @@ ProtectionExplorer::exploreBeam(CampaignRunner &pool,
     baseline.mix = mix_;
     baseline.budget = budget_;
     baseline.warmup = opt.warmup;
-    auto base_report = runBatch({baseline});
+    CampaignOptions base_opt = copt;
+    base_opt.recordExposure = price;
+    auto base_report = runBatch({baseline}, base_opt);
     const RunOutcome &base_out = base_report.outcomes.front();
     const SimResult &base_run = base_out.result;
+
+    // The baseline priced from, once a profiled simulation of it ran. A
+    // journaled baseline carries no profile: the first batch with a
+    // candidate missing from the journal simulates it once more (not
+    // journaled again) before pricing.
+    std::shared_ptr<const SimResult> measured;
+    bool profiled = price && !base_out.fromJournal;
+    if (profiled)
+        measured = pricingBase(base_run);
+    std::unordered_set<std::uint64_t> journaled;
+    if (price && !profiled)
+        for (const auto &kv : loadJournal(opt.journalPath))
+            journaled.insert(kv.first);
+    auto batchOptions = [&](const std::vector<Experiment> &batch) {
+        CampaignOptions o = copt;
+        if (price && !profiled &&
+            std::any_of(batch.begin(), batch.end(),
+                        [&](const Experiment &e) {
+                            return !journaled.count(experimentFingerprint(e));
+                        })) {
+            CampaignOptions again = base_opt;
+            again.journalPath.clear();
+            again.resume = false;
+            measured = pricingBase(
+                runBatch({baseline}, again).outcomes.front().result);
+            profiled = true;
+        }
+        if (measured)
+            o.runFn = pricer(measured);
+        return o;
+    };
 
     ExplorationResult result;
     result.mode = ExploreMode::Beam;
@@ -614,10 +723,23 @@ ProtectionExplorer::exploreBeam(CampaignRunner &pool,
     nodes.push_back({"none", ProtectionConfig{},
                      score(result.points[0].residualSer, 0.0, 0.0)});
 
+    // Candidates differ from the baseline only in protection, and the
+    // same assignment comes up again and again (every generation
+    // re-expands the beam), so each distinct one's fingerprint — a hash
+    // over the whole formatted experiment — is computed once.
+    std::map<std::tuple<std::array<ProtScheme, numHwStructs>, Cycle,
+                        std::array<Cycle, numHwStructs>>,
+             std::uint64_t>
+        fingerprints;
     auto fingerprintOf = [&](const ProtectionConfig &prot) {
-        Experiment e = baseline;
-        e.cfg.protection = prot;
-        return experimentFingerprint(e);
+        auto [it, fresh] = fingerprints.try_emplace(
+            {prot.scheme, prot.scrubInterval, prot.scrubOverride}, 0);
+        if (fresh) {
+            Experiment e = baseline;
+            e.cfg.protection = prot;
+            it->second = experimentFingerprint(e);
+        }
+        return it->second;
     };
     std::unordered_set<std::uint64_t> seen = {fingerprintOf({})};
 
@@ -701,7 +823,7 @@ ProtectionExplorer::exploreBeam(CampaignRunner &pool,
         }
         if (batch.empty())
             return;
-        auto report = runBatch(batch);
+        auto report = runBatch(batch, batchOptions(batch));
         for (std::size_t i = 0; i < batch.size(); ++i) {
             const RunOutcome &out = report.outcomes[i];
             if (out.fromJournal)

@@ -16,8 +16,20 @@
  *    ranking (the prefix candidates), then each generation expands every
  *    beam member by single-structure upgrades/downgrades — including a
  *    small per-structure scrub-interval ladder — prunes provably
- *    dominated candidates with the cost model *before* simulating, and
+ *    dominated candidates with the cost model *before* evaluating, and
  *    evaluates the survivors as one campaign batch.
+ *
+ * Evaluation is pricing, not simulation, wherever that is exact. A
+ * candidate differs from the unprotected baseline only in how the ledger
+ * splits each ACE interval into covered and residual bit-cycles, so both
+ * modes simulate the baseline once with its exposure profile armed
+ * (avf/exposure.hh) and price every candidate from it
+ * (priceProtection()), byte-identically to simulating it. Candidates
+ * still pass through runTolerant() as a pricing runFn, so journals,
+ * resume, budgets and the trace are unchanged. Every candidate simulates
+ * instead under PRAT (its throttle reads the assignment), with a runFn
+ * seam, with a per-window observer (avfSampleCycles, the commit trace),
+ * or when the profile fails its completeness identity.
  *
  * Determinism argument (tests/test_explorer_properties.cc): every
  * candidate is an independent Experiment keyed by its journal fingerprint
@@ -169,17 +181,30 @@ struct BeamOptions
     std::uint64_t warmup = 0;
     /**
      * Simulate the warmup once, capture it as a checkpoint, and restore
-     * it for the baseline and every candidate instead of re-warming per
-     * run — valid because a warmup checkpoint's fingerprint excludes the
+     * it for every simulated evaluation instead of re-warming per run —
+     * valid because a warmup checkpoint's fingerprint excludes the
      * protection assignment (it is an accounting overlay that never
      * perturbs timing). The frontier is bit-identical to the unshared
-     * path; only the simulated-instruction count drops (asserted by
-     * bench_ckpt_warmup). Ignored when warmup == 0 or runFn is set.
+     * path. Where candidates are priced, only the baseline simulates, so
+     * sharing saves nothing there; it pays off when candidates simulate
+     * (e.g. a journaled baseline re-simulated on resume). Ignored when
+     * warmup == 0, runFn is set, or under PRAT.
      */
     bool sharedWarmup = false;
     /** Test seam: replaces runExperiment() (see CampaignOptions::runFn). */
     std::function<SimResult(const Experiment &, std::size_t)> runFn;
 };
+
+/**
+ * The result @p measured's experiment would have produced under
+ * protection @p p, priced from its exposure profile instead of simulated:
+ * @p measured with its residual AVFs replaced (and no profile). Its
+ * serializeRun() bytes equal those of the simulation for every fetch
+ * policy but PRAT, whose throttle reads the assignment. Fatal unless
+ * @p measured carries a complete profile (RunControls::recordExposure).
+ */
+SimResult priceProtection(const SimResult &measured,
+                          const ProtectionConfig &p);
 
 /** Search of heterogeneous protection assignments for one workload. */
 class ProtectionExplorer

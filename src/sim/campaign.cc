@@ -67,6 +67,27 @@ shardExperiments(const std::vector<Experiment> &exps, unsigned shard,
     return out;
 }
 
+namespace
+{
+
+/**
+ * Make @p slot ready for a run of (@p cfg, @p mix): reset() the instance
+ * it holds when the timing shape allows, else construct a fresh one in
+ * its place. The one place a campaign gets a Simulator.
+ */
+Simulator &
+readySimulator(std::unique_ptr<Simulator> &slot, const MachineConfig &cfg,
+               const WorkloadMix &mix)
+{
+    if (slot && slot->canResetTo(cfg, mix))
+        slot->reset(cfg, mix);
+    else
+        slot = std::make_unique<Simulator>(cfg, mix);
+    return *slot;
+}
+
+} // namespace
+
 /**
  * One in-flight forEach() call. All fields are guarded by the pool
  * mutex; fn runs unlocked. The batch lives on the submitting thread's
@@ -202,6 +223,14 @@ CampaignRunner::putIdle(std::unique_ptr<Simulator> sim)
         return;
     std::lock_guard<std::mutex> lock(idleMutex_);
     idle_.push_back(std::move(sim));
+}
+
+std::unique_ptr<Simulator>
+CampaignRunner::acquire(const MachineConfig &cfg, const WorkloadMix &mix)
+{
+    std::unique_ptr<Simulator> slot = takeIdle(cfg, mix);
+    readySimulator(slot, cfg, mix);
+    return slot;
 }
 
 std::vector<SimResult>
@@ -406,22 +435,6 @@ warmupCheckpointPath(const std::string &dir, std::uint64_t key)
 }
 
 /**
- * Make @p slot ready for a run of (@p cfg, @p mix): reset() the instance
- * it holds when the timing shape allows, else construct a fresh one in
- * its place. The one place a campaign gets a Simulator.
- */
-Simulator &
-readySimulator(std::unique_ptr<Simulator> &slot, const MachineConfig &cfg,
-               const WorkloadMix &mix)
-{
-    if (slot && slot->canResetTo(cfg, mix))
-        slot->reset(cfg, mix);
-    else
-        slot = std::make_unique<Simulator>(cfg, mix);
-    return *slot;
-}
-
-/**
  * Thread mode's exception boundary: run @p fn in-process and classify
  * what it threw the way a child's report is classified, so both modes
  * settle runs through one path.
@@ -539,11 +552,9 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
                         cfg.cancel = opt.cancel;
                         cfg.cancelCheckCycles = opt.cancelCheckCycles;
                     }
-                    std::unique_ptr<Simulator> slot =
-                        pool.takeIdle(cfg, e.mix);
-                    g.captured = readySimulator(slot, cfg, e.mix)
-                                     .captureWarmupCheckpoint(e.warmup);
-                    pool.putIdle(std::move(slot));
+                    std::unique_ptr<Simulator> sim = pool.acquire(cfg, e.mix);
+                    g.captured = sim->captureWarmupCheckpoint(e.warmup);
+                    pool.putIdle(std::move(sim));
                     ck = &g.captured;
                 }
                 if (opt.isolate == IsolateMode::Process) {
@@ -583,6 +594,7 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
         try {
             Simulator &sim = readySimulator(slot, e.cfg, e.mix);
             RunControls rc;
+            rc.recordExposure = opt.recordExposure;
             if (!g)
                 rc.warmup = e.warmup;
             else if (g->ck)

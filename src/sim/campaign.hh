@@ -169,6 +169,14 @@ class CampaignRunner
     /** Return a simulator after a healthy run (null is ignored). */
     void putIdle(std::unique_ptr<Simulator> sim);
 
+    /**
+     * A simulator ready for a run of (@p cfg, @p mix): an idle one
+     * reset() when the shape allows, else a fresh construction. Hand it
+     * back with putIdle() after a healthy run.
+     */
+    std::unique_ptr<Simulator> acquire(const MachineConfig &cfg,
+                                       const WorkloadMix &mix);
+
   private:
     struct Batch;
 
@@ -357,6 +365,14 @@ struct CampaignOptions
      * @ref sharedWarmup is set.
      */
     const Checkpoint *warmupCheckpoint = nullptr;
+    /**
+     * Arm every simulated run's exposure profile
+     * (RunControls::recordExposure), returned in SimResult::exposure.
+     * Thread mode only: the profile does not cross the child pipe or the
+     * journal, so process-mode and replayed results come back without
+     * one. Excluded from experiment fingerprints.
+     */
+    bool recordExposure = false;
 };
 
 /** Everything a fault-tolerant campaign reports back. */

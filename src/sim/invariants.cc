@@ -369,6 +369,19 @@ checkLsq(const SmtCore &core, Cycle now)
 }
 
 void
+checkCommitTotal(const SmtCore &core, Cycle now)
+{
+    std::uint64_t sum = 0;
+    for (unsigned t = 0; t < core.config().contexts; ++t)
+        sum += core.committed(static_cast<ThreadId>(t));
+    if (core.totalCommitted() != sum)
+        violated(core, now, "core.commit_total",
+                 detail::concat("running commit total ",
+                                core.totalCommitted(),
+                                " != per-thread sum ", sum));
+}
+
+void
 checkMshrs(const SmtCore &core, Cycle now)
 {
     for (const auto &d : core.hierarchy().mshrDue()) {
@@ -434,6 +447,7 @@ checkInvariants(const SmtCore &core, const AvfLedger &ledger, Cycle now)
     checkRob(core, now);
     checkIq(core, now);
     checkLsq(core, now);
+    checkCommitTotal(core, now);
     checkMshrs(core, now);
     checkLedger(core, ledger, now);
 }

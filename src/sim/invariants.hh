@@ -41,6 +41,8 @@
  *                          in program order, occupancy <= capacity
  *  - lsq.oldest_store      each LSQ's cached oldest unissued store equals
  *                          a fresh scan
+ *  - core.commit_total     the running commit total equals the sum of
+ *                          the per-thread commit counters
  *  - mem.mshr_due          no MSHR table's due cycle is later than its
  *                          earliest ready entry
  *  - ledger.accounting     per structure, accumulated ACE + un-ACE

@@ -496,6 +496,15 @@ Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
     if (series)
         series->arm(core_->totalCommitted(), core_->now());
 
+    // Armed where the tallies start (the run's start, or the warmup
+    // boundary just reset them), so a complete profile covers exactly
+    // what the ledger books.
+    std::shared_ptr<ExposureProfile> exposure;
+    if (rc.recordExposure) {
+        exposure = std::make_shared<ExposureProfile>();
+        ledger_.recordExposure(exposure);
+    }
+
     const std::uint64_t target = rel_base + instr_budget;
 
     if (rc.checkpointAt > 0) {
@@ -534,6 +543,7 @@ Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
     if (trace)
         trace->finalize(); // deadness verdicts are all resolved now
     ledger_.finalize(end);
+    ledger_.recordExposure(nullptr);
 
     simulatedInstructionCounter().fetch_add(
         core_->totalCommitted() - start_committed,
@@ -568,6 +578,7 @@ Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
     r.timeline = timeline;
     r.avfIntervals = series;
     r.commitTrace = trace;
+    r.exposure = exposure;
 
     auto rate = [](std::uint64_t part, std::uint64_t total) {
         return total ? static_cast<double>(part) / total : 0.0;

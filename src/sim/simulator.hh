@@ -69,6 +69,14 @@ struct RunControls
      * (SimResult::avfIntervals). 0 = off.
      */
     std::uint64_t avfInterval = 0;
+
+    /**
+     * Record the measured window's ACE bookings into an exposure profile
+     * (avf/exposure.hh), returned as SimResult::exposure, from which any
+     * protection assignment's residual AVF can be priced exactly. Changes
+     * no other output, and is no part of any fingerprint.
+     */
+    bool recordExposure = false;
 };
 
 /**

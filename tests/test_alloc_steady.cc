@@ -22,6 +22,7 @@
 #include <new>
 
 #include "ckpt/checkpoint.hh"
+#include "protect/explorer.hh"
 #include "sim/campaign.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
@@ -31,12 +32,20 @@
 static std::atomic<std::uint64_t> g_allocCount{0};
 /** Bytes those allocations requested. */
 static std::atomic<std::uint64_t> g_allocBytes{0};
+/**
+ * Simulator arena slabs allocated (64-byte aligned, at least the 1 MiB
+ * first slab): a fixed number per Simulator construction, so they count
+ * constructions without a hook in the library.
+ */
+static std::atomic<std::uint64_t> g_slabCount{0};
 
 static void *
 countedAlloc(std::size_t n, std::size_t align)
 {
     g_allocCount.fetch_add(1, std::memory_order_relaxed);
     g_allocBytes.fetch_add(n, std::memory_order_relaxed);
+    if (align == 64 && n >= (std::size_t{1} << 20))
+        g_slabCount.fetch_add(1, std::memory_order_relaxed);
     if (n == 0)
         n = 1;
     void *p;
@@ -326,6 +335,53 @@ TEST(AllocProfile, SharedWarmupCandidatesReuseTheWorkersSimulator)
         std::printf("alloc-profile: candidate %zu=%llu bytes\n", k,
                     static_cast<unsigned long long>(candidate));
         EXPECT_LT(candidate, construct) << "candidate " << k;
+    }
+}
+
+/**
+ * A whole beam search — warmup capture, baseline and every candidate,
+ * priced or simulated — takes its simulators from the runner's idle
+ * pool, so it constructs one Simulator per worker: exactly one on a
+ * one-worker pool, and never more than the worker count.
+ */
+TEST(AllocProfile, BeamSearchConstructsOneSimulatorPerWorker)
+{
+    auto cfg = table1Config(2);
+    cfg.seed = 7;
+    cfg.invariantCheckCycles = 0;
+    const auto &mix = findMix("2ctx-mix-A");
+    auto slabs = [] { return g_slabCount.load(std::memory_order_relaxed); };
+
+    std::uint64_t per_construct = slabs();
+    { Simulator probe(cfg, mix); }
+    per_construct = slabs() - per_construct;
+    ASSERT_GE(per_construct, 1u);
+
+    BeamOptions opt;
+    opt.beamWidth = 2;
+    opt.generations = 1;
+    opt.maxStructures = 3;
+    opt.warmup = 3000;
+    opt.sharedWarmup = true;
+
+    // Priced candidates, then (an AVF timeline turns pricing off)
+    // simulated ones.
+    auto observed = cfg;
+    observed.avfSampleCycles = 1000;
+    for (const MachineConfig &c : {cfg, observed}) {
+        SCOPED_TRACE(c.avfSampleCycles ? "simulated" : "priced");
+        ProtectionExplorer explorer(c, mix, 2000);
+        for (unsigned jobs : {1u, 2u}) {
+            CampaignRunner pool(jobs);
+            const std::uint64_t before = slabs();
+            auto result = explorer.exploreBeam(pool, opt);
+            ASSERT_GT(result.evaluations, 3u);
+            const std::uint64_t built = (slabs() - before) / per_construct;
+            if (jobs == 1)
+                EXPECT_EQ(built, 1u);
+            else
+                EXPECT_LE(built, jobs);
+        }
     }
 }
 

@@ -759,6 +759,21 @@ TEST(Invariants, DetectsClosedResidencyInFlight)
     expectViolation(sim, "rob.residency");
 }
 
+TEST(Invariants, DetectsSkewedCommitTotal)
+{
+    // The run loop polls the running commit total every cycle; one that
+    // drifted from the per-thread counters would end the measured window
+    // early or late.
+    auto exps = fourMixCampaign();
+    Simulator sim(exps[1].cfg, exps[1].mix);
+    ASSERT_TRUE(
+        tickUntil(sim, [&] { return sim.core().totalCommitted() > 0; }));
+    ASSERT_NO_THROW(
+        checkInvariants(sim.core(), sim.ledger(), sim.core().now()));
+    sim.core().debugSkewCommitTotal(1);
+    expectViolation(sim, "core.commit_total");
+}
+
 TEST(Invariants, SimulatorPeriodicCheckCatchesCorruptionMidRun)
 {
     // Corrupt the machine, then let Simulator::run()'s periodic check

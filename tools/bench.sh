@@ -1,13 +1,9 @@
 #!/bin/sh
 # Run the end-to-end microbenchmark suite (bench_micro_sim plus the
-# shared-warmup gate bench_ckpt_warmup and the worker-reuse gate
-# bench_campaign_setup) and write the merged
+# worker-reuse gate bench_campaign_setup) and write the merged
 # machine-readable results to BENCH_micro.json at the repo root. This is
 # the number the performance work is held to: simulated instructions per
-# second at 1/2/4/8 contexts (see docs/PERFORMANCE.md for how to read it),
-# and the explorer's simulated-instruction saving from warmup sharing.
-# bench_ckpt_warmup exits nonzero — failing the whole script — if the
-# shared-warmup frontier is not bit-identical to the per-run-warmup one.
+# second at 1/2/4/8 contexts (see docs/PERFORMANCE.md for how to read it).
 #
 # Usage: tools/bench.sh [build-dir]      (default: <repo>/build-release,
 #                                         falling back to <repo>/build)
@@ -32,12 +28,11 @@ else
 fi
 
 if [ ! -x "$build/bench/bench_micro_sim" ] ||
-   [ ! -x "$build/bench/bench_ckpt_warmup" ] ||
    [ ! -x "$build/bench/bench_campaign_setup" ]; then
     echo "==> benchmarks not built; configuring $build (Release)"
     cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=Release
     cmake --build "$build" -j "$jobs" --target bench_micro_sim \
-          bench_ckpt_warmup bench_campaign_setup
+          bench_campaign_setup
 fi
 
 echo "==> running bench_micro_sim (min_time=${min_time}s x${reps})"
@@ -47,14 +42,6 @@ echo "==> running bench_micro_sim (min_time=${min_time}s x${reps})"
     --benchmark_report_aggregates_only=true \
     --benchmark_format=json \
     --benchmark_out="$repo/BENCH_micro.json.micro" \
-    --benchmark_out_format=json
-
-# The explorer runs are seconds each; one repetition is already stable
-# on simulated-instruction counts (exact) and indicative on wall-clock.
-echo "==> running bench_ckpt_warmup (shared-warmup gate + timings)"
-"$build/bench/bench_ckpt_warmup" \
-    --benchmark_format=json \
-    --benchmark_out="$repo/BENCH_micro.json.ckpt" \
     --benchmark_out_format=json
 
 # Campaign setup throughput: runs/s for a 1000-short-run campaign in
@@ -69,15 +56,14 @@ echo "==> running bench_campaign_setup (worker-reuse gate + runs/s)"
 
 # Merge the reports: keep bench_micro_sim's context block, append the
 # other binaries' benchmark rows.
-python3 - "$repo/BENCH_micro.json.micro" "$repo/BENCH_micro.json.ckpt" \
-        "$repo/BENCH_micro.json.setup" "$repo/BENCH_micro.json" <<'EOF'
+python3 - "$repo/BENCH_micro.json.micro" "$repo/BENCH_micro.json.setup" \
+        "$repo/BENCH_micro.json" <<'EOF'
 import json, sys
 micro = json.load(open(sys.argv[1]))
 for extra in sys.argv[2:-1]:
     micro["benchmarks"].extend(json.load(open(extra))["benchmarks"])
 json.dump(micro, open(sys.argv[-1], "w"), indent=2)
 EOF
-rm -f "$repo/BENCH_micro.json.micro" "$repo/BENCH_micro.json.ckpt" \
-      "$repo/BENCH_micro.json.setup"
+rm -f "$repo/BENCH_micro.json.micro" "$repo/BENCH_micro.json.setup"
 
 echo "==> wrote $repo/BENCH_micro.json"
